@@ -271,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="cap on worker count; never affects output bytes",
+        help="accepted and validated (N >= 1) but ignored; "
+        "verification runs in one process",
     )
 
     parser = argparse.ArgumentParser(

@@ -105,6 +105,10 @@ class Field:
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__; the default slot restore uses setattr
+        return (Field, (self.p, self.m, self.modulus))
+
     def __eq__(self, other):
         return (
             isinstance(other, Field)

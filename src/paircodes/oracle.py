@@ -1,9 +1,20 @@
 """Brute-force ground truth for the closed-form distance formulas.
 
-Everything here is deliberately dumb: exhaustive codeword enumeration
-(optionally one representative per scalar class, which preserves both
-minimum weights), exact minima with witnesses, and report objects that
-never mark a budget-truncated search as verified.
+Codewords are enumerated exhaustively (optionally one representative
+per scalar class, which preserves both minimum weights) and scanned for
+exact minima with witnesses.  A scan ends early only once its best
+weights meet lower bounds proven without the closed forms:
+
+* a nonzero word has w_H >= 1, and for i >= 1 every codeword is a
+  multiple of (x - 1), so c(1) = 0 and w_H >= 2;
+* a nonzero word has w_p >= min(n, w_H + 1) (w_p = n on full support,
+  w_p = w_H + L with L >= 1 otherwise);
+* the codes are nested, C_i within C_{i-1}, so verify_family carries
+  the minima it certified for row i - 1 into row i as lower bounds.
+
+A scan stops only when no later word can beat its best weights, so its
+minima and first-achiever witnesses are those of the full scan.  Report
+objects never mark a budget-truncated search as verified.
 """
 
 from __future__ import annotations
@@ -38,16 +49,13 @@ class EnumBudget:
 class BudgetExhausted(RuntimeError):
     """An enumeration hit its budget before completing.
 
-    Carries whatever was scanned so far; any attached minima are lower
-    evidence only, explicitly NOT certified minima.
+    Carries how many codewords were scanned and the size of the space.
     """
 
-    def __init__(self, message, scanned=0, space=None, best_pair=None, best_hamming=None):
+    def __init__(self, message, scanned=0, space=None):
         super().__init__(message)
         self.scanned = scanned
         self.space = space
-        self.best_pair = best_pair
-        self.best_hamming = best_hamming
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,16 @@ class _ScanResult:
     scanned: int
 
 
-def _scan_min_weights(spec: CodeSpec, budget: EnumBudget, field: Field) -> _ScanResult:
-    """One exhaustive pass computing both minimum weights with witnesses."""
+def _scan_min_weights(
+    spec: CodeSpec, budget: EnumBudget, field: Field, known: tuple[int, int] = (0, 0)
+) -> _ScanResult:
+    """One pass computing both minimum weights with witnesses.
+
+    known holds proven lower bounds (d_H, d_p) on C_i, such as the
+    certified minima of C_{i-1}.  The pass stops once both best weights
+    meet the larger of these and the floors in the module docstring;
+    no later word can then replace a witness.
+    """
     n = spec.n
     if spec.i == spec.n:
         zero = (0,) * n
@@ -213,6 +229,8 @@ def _scan_min_weights(spec: CodeSpec, budget: EnumBudget, field: Field) -> _Scan
             scanned=0,
             space=space,
         )
+    lb_h = max(known[0], 2 if spec.i else 1)
+    lb_p = max(known[1], min(n, lb_h + 1))
     best_h = n + 1
     best_p = n + 1
     wit_h: tuple[int, ...] | None = None
@@ -221,6 +239,8 @@ def _scan_min_weights(spec: CodeSpec, budget: EnumBudget, field: Field) -> _Scan
     for word in _codeword_stream(spec, field, budget):
         scanned += 1
         w_h = n - word.count(0)
+        if w_h >= best_h and w_h >= best_p:
+            continue  # neither best can improve; keeps the stop test off this path
         if w_h < best_h:
             best_h = w_h
             wit_h = word
@@ -234,6 +254,8 @@ def _scan_min_weights(spec: CodeSpec, budget: EnumBudget, field: Field) -> _Scan
             if w_p < best_p:
                 best_p = w_p
                 wit_p = word
+        if best_h <= lb_h and best_p <= lb_p:
+            break
     return _ScanResult(best_h, wit_h, best_p, wit_p, scanned)
 
 
@@ -286,18 +308,22 @@ def verify_family(
     entries = []
     any_mismatch = False
     any_skip = False
+    # minima certified for a row bound those of every later row, a subcode;
+    # skips (space shrinks with i) only come before the first certified row
+    known = (0, 0)
     for i in range(p**e + 1):
         spec = CodeSpec(p, m, e, i)
         f_dh = closed_form_hamming_distance(spec)
         f_dp = closed_form_pair_distance(spec)
         try:
-            res = _scan_min_weights(spec, budget, field)
+            res = _scan_min_weights(spec, budget, field, known)
         except BudgetExhausted:
             any_skip = True
             entries.append(
                 FamilyEntry(i, spec.dimension, f_dh, None, f_dp, None, None, "skipped")
             )
             continue
+        known = (res.min_hamming, res.min_pair)
         ok = res.min_hamming == f_dh and res.min_pair == f_dp
         if not ok:
             any_mismatch = True

@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from paircodes.gf import Field, build_field, is_irreducible, is_prime
+from paircodes.oracle import verify_family
+from paircodes.polyring import RingElement
 
 
 def test_prime_check():
@@ -143,3 +147,17 @@ def test_field_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         fs.p = 3
     assert hash(fs) == hash(Field(2, 2, (1, 1, 1)))
+
+
+def test_pickle_and_deepcopy_round_trip():
+    f9 = Field(3, 2, (2, 1, 1))  # a non-canonical modulus must survive
+    objects = [
+        build_field(2, 1),
+        f9,
+        RingElement(f9, (0, 8, 3)),
+        verify_family(2, 2, 2),
+    ]
+    for obj in objects:
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert clone == obj
+    assert pickle.loads(pickle.dumps(f9)).modulus == (2, 1, 1)

@@ -1,10 +1,23 @@
+import re
+
 import pytest
 
-from paircodes.codes import CodeSpec, contains, encode
+from test_acceptance import FAMILY_GRID
+
+from paircodes.codes import (
+    CodeSpec,
+    _hamming_branches,
+    _pair_branches,
+    contains,
+    encode,
+    hamming_branch,
+    pair_branch,
+)
 from paircodes.gf import build_field
 from paircodes.oracle import (
     BudgetExhausted,
     EnumBudget,
+    _scan_min_weights,
     codeword_class_count,
     enumerate_codewords,
     min_hamming_weight_bruteforce,
@@ -195,3 +208,74 @@ def test_enumeration_deterministic_with_extension_field():
     # every enumerated word really is a codeword
     for w in enumerate_codewords(spec):
         assert contains(spec, w)
+
+
+def _reference_family(p, e, m):
+    # plain minima over the public stream; witnesses are first strict achievers
+    rows = []
+    for i in range(p**e + 1):
+        spec = CodeSpec(p, m, e, i)
+        if i == spec.n:
+            rows.append((i, 0, 0, (0,) * spec.n))
+            continue
+        best_h = best_p = spec.n + 1
+        wit_p = None
+        for word in enumerate_codewords(spec):
+            best_h = min(best_h, hamming_weight(word))
+            w_p = pair_weight(word)
+            if w_p < best_p:
+                best_p, wit_p = w_p, word.coeffs
+        rows.append((i, best_h, best_p, wit_p))
+    return rows
+
+
+@pytest.mark.parametrize("p,e,m", FAMILY_GRID + ((2, 2, 3),))
+def test_verify_family_matches_plain_reference(p, e, m):
+    report = verify_family(p, e, m)
+    got = [
+        (x.i, x.oracle_d_hamming, x.oracle_d_pair, x.witness.coeffs)
+        for x in report.entries
+    ]
+    assert got == _reference_family(p, e, m)
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_scan_stops_at_proven_floor(i):
+    # the generator comes first and already meets w_H >= 1 (i = 0) or
+    # w_H >= 2 (i >= 1), with w_p >= w_H + 1; the spaces hold 2,396,745
+    # and 299,593 words
+    spec = CodeSpec(2, 3, 3, i)
+    res = _scan_min_weights(spec, EnumBudget(), spec.field())
+    assert res.scanned == 1
+    assert (res.min_hamming, res.min_pair) == (i + 1, i + 2)
+
+
+def _template(label):
+    return re.sub(r"\[.*\]", "", label)
+
+
+def test_every_branch_template_is_certified():
+    # every template the formulas can emit, found by sweeping the branch ranges
+    hamming, pair = set(), set()
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3, 4):
+            for i in range(p**e + 1):
+                hamming |= {_template(lab) for _, lab in _hamming_branches(p, e, i)}
+                pair |= {_template(lab) for _, lab in _pair_branches(p, e, i)}
+    assert hamming == {"0", "1", "beta+2", "(t+1)p^k"}
+    assert pair == {
+        "0", "n=2", "i+2", "p", "2", "3", "4", "2(beta+2)", "3p^k", "4p^k",
+        "2(beta+2)p^k", "(j+2)p^(e-1)", "p^e",
+    }
+    reports = [verify_family(p, e, m) for p, e, m in FAMILY_GRID]
+    # rows 16..27 fit the budget; 22..24 are the only 2(beta+2)p^k rows in reach
+    reports.append(verify_family(3, 3, 1, EnumBudget(max_codewords=200_000)))
+    met_h, met_p = set(), set()
+    for rep in reports:
+        for entry in rep.entries:
+            if entry.status == "match":
+                spec = CodeSpec(rep.p, rep.m, rep.e, entry.i)
+                met_h.add(_template(hamming_branch(spec)[1]))
+                met_p.add(_template(pair_branch(spec)[1]))
+    assert met_h == hamming
+    assert met_p == pair
