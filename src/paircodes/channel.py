@@ -5,6 +5,12 @@ pair-sequence space and need not be consistent reads of any word.  The
 decoder is exhaustive nearest-codeword search in that space; a code
 with minimum pair distance d corrects t pair errors whenever
 d >= 2t + 1, and the experiment below validates exactly that.
+
+The search is bit-sliced: the codebook holds one big int per (position,
+symbol) whose bit j marks codeword j, so a single AND finds every
+codeword agreeing with one received pair.  A held book costs n * q bits
+per codeword; while it is built, n bytes per codeword (more when a
+symbol needs more than one byte).
 """
 
 from __future__ import annotations
@@ -69,25 +75,67 @@ def inject_pair_errors(
     )
 
 
+# translate tables: byte s -> b"1" if bit b of s is set, else b"0"
+_BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+class _Codebook:
+    """Every codeword of a code, bit-sliced by position and symbol.
+
+    Bit j of planes[k][v] is set iff codeword j has symbol v at
+    position k; codewords are numbered zero first, then in ascending
+    message order.  len() is the number of codewords.
+    """
+
+    # a plain class: a dataclass would add about 1 ms to every import
+    __slots__ = ("planes", "size")
+
+    def __init__(self, planes: tuple[tuple[int, ...], ...], size: int):
+        self.planes = planes
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def word(self, j: int) -> tuple[int, ...]:
+        """Coefficients of codeword j."""
+        return tuple(
+            next(v for v, plane in enumerate(column) if plane >> j & 1)
+            for column in self.planes
+        )
+
+
 @lru_cache(maxsize=8)
-def _codebook(
-    spec: CodeSpec, field: Field, max_codewords: int
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    # full codebook (zero first, then ascending messages) with pair reads
+def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
     if spec.size > max_codewords:
         raise BudgetExhausted(
             f"codebook of {spec.size} codewords exceeds the budget of {max_codewords}",
             space=spec.size,
         )
     n = spec.n
-    zero = (0,) * n
-    book = [(zero, tuple(((0, 0) for _ in range(n))))]
+    q = field.q
+    bits = (q - 1).bit_length()
+    width = (bits + 7) // 8  # bytes per symbol, little-endian
+    rows = bytearray(n * width)  # one row per codeword, zero first
     if spec.dimension >= 1:
         budget = EnumBudget(max_codewords=max_codewords, reduce_by_scalars=False)
         for word in _codeword_stream(spec, field, budget):
-            pairs = tuple((word[k], word[(k + 1) % n]) for k in range(n))
-            book.append((word, pairs))
-    return tuple(book)
+            if width == 1:
+                rows += bytes(word)
+            else:
+                rows += b"".join(s.to_bytes(width, "little") for s in word)
+    full = (1 << spec.size) - 1
+    planes = []
+    for k in range(n):
+        # reversed byte columns put codeword j at bit j of int(..., 2)
+        columns = [rows[(k * width + d) :: n * width][::-1] for d in range(width)]
+        by_symbol = [full]
+        for b in range(bits):
+            hi = int(columns[b // 8].translate(_BIT_DIGITS[b % 8]), 2)
+            lo = full ^ hi
+            by_symbol = [x & lo for x in by_symbol] + [x & hi for x in by_symbol]
+        planes.append(tuple(by_symbol[:q]))
+    return _Codebook(tuple(planes), spec.size)
 
 
 def decode_min_pair_distance(
@@ -95,9 +143,14 @@ def decode_min_pair_distance(
 ) -> RingElement | None:
     """Nearest codeword in pair-sequence distance, or None on a tie.
 
-    Scans every codeword (scalar reduction would merge words that decode
-    differently); a tie between distinct codewords is reported as an
-    ambiguous failure rather than resolved arbitrarily.
+    Exhaustive maximum-likelihood search over every codeword (scalar
+    reduction would merge words that decode differently), bit-sliced:
+    the codewords agreeing with the read at position k are the bits of
+    planes[k][a] & planes[k+1][b] for the received pair (a, b).  These n
+    agreement sets are summed per codeword in a bit-sliced counter, and
+    the codewords with the most agreements are at minimum distance.  A
+    tie between distinct codewords is reported as an ambiguous failure
+    rather than resolved arbitrarily.
     """
     if budget is None:
         budget = EnumBudget()
@@ -106,26 +159,25 @@ def decode_min_pair_distance(
     if received.n != spec.n:
         raise ValueError(f"length mismatch: {received.n} vs {spec.n}")
     book = _codebook(spec, received.field, budget.max_codewords)
-    target = received.pairs
-    best = None
-    best_d = spec.n + 1
-    ambiguous = False
-    for word, pairs in book:
-        d = 0
-        for a, b in zip(pairs, target):
-            if a != b:
-                d += 1
-                if d > best_d:
-                    break
-        if d < best_d:
-            best_d = d
-            best = word
-            ambiguous = False
-        elif d == best_d:
-            ambiguous = True
-    if ambiguous or best is None:
+    planes = book.planes
+    counter: list[int] = []  # counter[b] holds bit b of every agreement count
+    for (a, b), here, there in zip(received.pairs, planes, planes[1:] + planes[:1]):
+        carry = here[a] & there[b]
+        for bit, digit in enumerate(counter):  # ripple half-adders
+            if not carry:
+                break
+            counter[bit] = digit ^ carry
+            carry &= digit
+        else:
+            if carry:
+                counter.append(carry)
+    best = (1 << book.size) - 1
+    for digit in reversed(counter):  # keep the most agreements, top bit first
+        if best & digit:
+            best &= digit
+    if best & (best - 1):
         return None
-    return RingElement(received.field, best)
+    return RingElement(received.field, book.word(best.bit_length() - 1))
 
 
 def correctability_experiment(
@@ -151,7 +203,7 @@ def correctability_experiment(
     successes = 0
     for k in range(trials):
         rng = random.Random(seed * 1_000_003 + k)
-        transmitted = RingElement(field, book[rng.randrange(len(book))][0])
+        transmitted = RingElement(field, book.word(rng.randrange(len(book))))
         clean = pair_read(transmitted)
         received, _pattern = inject_pair_errors(clean, t, rng.randrange(2**63))
         decoded = decode_min_pair_distance(spec, received, budget)

@@ -9,6 +9,11 @@ weights meet lower bounds proven without the closed forms:
   multiple of (x - 1), so c(1) = 0 and w_H >= 2;
 * a nonzero word has w_p >= min(n, w_H + 1) (w_p = n on full support,
   w_p = w_H + L with L >= 1 otherwise);
+* for i >= 2, w_p >= min(n, 4): a word a x^j + b x^k of Hamming weight 2
+  in <(x - 1)^2> has c(1) = a + b = 0 and first Hasse derivative
+  c'(1) = a j + b k = a (j - k) = 0, so p divides j - k; as p divides
+  n = p^e, j - k is not +-1 mod n, the two symbols are not cyclically
+  adjacent and w_p = 4; heavier words have w_p >= min(n, w_H + 1);
 * the codes are nested, C_i within C_{i-1}, so verify_family carries
   the minima it certified for row i - 1 into row i as lower bounds.
 
@@ -230,7 +235,7 @@ def _scan_min_weights(
             space=space,
         )
     lb_h = max(known[0], 2 if spec.i else 1)
-    lb_p = max(known[1], min(n, lb_h + 1))
+    lb_p = max(known[1], min(n, lb_h + 1), min(n, 4) if spec.i >= 2 else 0)
     best_h = n + 1
     best_p = n + 1
     wit_h: tuple[int, ...] | None = None

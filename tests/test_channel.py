@@ -1,11 +1,15 @@
+import random
+import tracemalloc
+
 import pytest
 
+from paircodes import channel
 from paircodes.channel import (
     correctability_experiment,
     decode_min_pair_distance,
     inject_pair_errors,
 )
-from paircodes.codes import CodeSpec, contains, generator
+from paircodes.codes import CodeSpec, closed_form_pair_distance, contains, generator
 from paircodes.gf import build_field
 from paircodes.oracle import BudgetExhausted, EnumBudget, enumerate_codewords
 from paircodes.pairmetrics import PairVector, pair_read, pair_seq_distance
@@ -85,6 +89,62 @@ def test_decode_budget_exhausted():
     received = pair_read(zero_ring_element(spec.field(), 9))
     with pytest.raises(BudgetExhausted):
         decode_min_pair_distance(spec, received, EnumBudget(max_codewords=100))
+
+
+def _reference_decode(reads, received):
+    # plain nearest-codeword search; a tie at the minimum is a failure
+    dists = [pair_seq_distance(read, received) for _, read in reads]
+    best = min(dists)
+    if dists.count(best) > 1:
+        return None
+    return reads[dists.index(best)][0]
+
+
+# q in {2, 3, 4, 8, 9}, odd and even n, with i = 0 and i = n among them
+REFERENCE_SPECS = [
+    (2, 1, 3, i) for i in (0, 1, 3, 5, 8)
+] + [
+    (3, 1, 1, 0), (3, 1, 1, 3), (3, 1, 2, 2), (3, 1, 2, 4), (3, 1, 2, 9),
+    (2, 2, 2, 0), (2, 2, 2, 1), (2, 2, 2, 4), (2, 2, 3, 3),
+    (2, 3, 1, 0), (2, 3, 2, 2), (3, 2, 1, 0), (3, 2, 1, 1), (3, 2, 1, 3),
+]
+
+
+def test_decode_matches_plain_reference():
+    rng = random.Random(2011)
+    ties = 0
+    for p, m, e, i in REFERENCE_SPECS:
+        spec = CodeSpec(p, m, e, i)
+        field = spec.field()
+        words = [zero_ring_element(field, spec.n)]
+        if spec.dimension:
+            words += enumerate_codewords(spec, EnumBudget(reduce_by_scalars=False))
+        reads = [(w.coeffs, pair_read(w)) for w in words]
+        guarantee = (closed_form_pair_distance(spec) - 1) // 2
+        for t in range(min(spec.n, guarantee + 2) + 1):
+            for _ in range(4):
+                _, clean = reads[rng.randrange(len(reads))]
+                received, _ = inject_pair_errors(clean, t, rng.randrange(2**63))
+                expected = _reference_decode(reads, received)
+                got = decode_min_pair_distance(spec, received)
+                assert (None if got is None else got.coeffs) == expected, (spec, t, received)
+                ties += expected is None
+    assert ties > 0
+
+
+def test_cached_book_is_small():
+    # the (2,1,5,18) book holds 16,384 words of length 32
+    spec = CodeSpec(2, 1, 5, 18)
+    field = spec.field()
+    channel._codebook.cache_clear()
+    tracemalloc.start()
+    try:
+        book = channel._codebook(spec, field, EnumBudget().max_codewords)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(book) == spec.size == 16_384
+    assert held < 2_000_000
 
 
 def test_experiment_zero_errors():

@@ -207,6 +207,20 @@ def test_simulate_guaranteed_regime():
     assert json.loads(proc.stdout)[0]["success_rate"] == 1.0
 
 
+def test_simulate_field_above_256_symbols():
+    # q = 257 symbols do not fit in a byte; the decoder must still run
+    proc = run_cli(
+        "simulate", "--p", "257", "--e", "1", "--m", "1", "--i", "256",
+        "--t", "0", "--trials", "3", "--seed", "1",
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "p    e  m  i    t  trials  seed  d_pair  max_guaranteed_t  successes  success_rate\n"
+        "---  -  -  ---  -  ------  ----  ------  ----------------  ---------  ------------\n"
+        "257  1  1  256  0  3       1     257     128               3          1.0\n"
+    )
+
+
 def test_simulate_requires_seed():
     proc = run_cli(
         "simulate", "--p", "3", "--e", "2", "--m", "1", "--i", "4",

@@ -250,6 +250,16 @@ def test_scan_stops_at_proven_floor(i):
     assert (res.min_hamming, res.min_pair) == (i + 1, i + 2)
 
 
+@pytest.mark.parametrize("p,m,e", [(2, 1, 4), (2, 3, 3)])
+def test_scan_stops_at_pair_floor_for_i_ge_2(p, m, e):
+    # d_p rises from 3 to 4 at i = 2; w_p >= min(n, 4) for i >= 2 ends the
+    # scan at the first weight-2 codeword instead of the whole space
+    spec = CodeSpec(p, m, e, 2)
+    res = _scan_min_weights(spec, EnumBudget(), spec.field())
+    assert (res.min_hamming, res.min_pair) == (2, 4)
+    assert res.scanned <= 4 < codeword_class_count(spec, True)
+
+
 def _template(label):
     return re.sub(r"\[.*\]", "", label)
 
