@@ -2,7 +2,8 @@
 listing, and pair-error channel experiments.
 
 Exit codes: 0 success / all-match; 1 mismatch or guarantee violation;
-2 usage or input error; 3 incomplete verification (budget skips).
+2 usage or input error; 3 incomplete verification (budget skips) or a
+simulate codebook over its --max-enum budget.
 tsv and json outputs are byte-deterministic for identical arguments.
 """
 
@@ -20,7 +21,7 @@ from .codes import (
     is_mds_pair,
 )
 from .gf import Field, build_field
-from .oracle import EnumBudget, verify_family
+from .oracle import BudgetExhausted, EnumBudget, verify_family
 from .pairmetrics import (
     hamming_distance,
     hamming_weight,
@@ -235,6 +236,9 @@ def cmd_simulate(args, out) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except BudgetExhausted as exc:
+        print(f"incomplete: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     guarantee_t = (d_p - 1) // 2
     successes = sum(1 for o in outcomes if o.success)
     records = [

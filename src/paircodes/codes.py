@@ -12,6 +12,7 @@ symbol-pair classification against the pair-metric Singleton bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .gf import Field, build_field, is_prime
 from .polyring import Poly, RingElement, x_minus_one_power
@@ -93,19 +94,24 @@ def encode(spec: CodeSpec, message: Poly) -> RingElement:
 
 
 def contains(spec: CodeSpec, v: RingElement) -> bool:
-    """Membership: (x - 1)^i divides the degree-< n lift of v."""
+    """Membership: (x - 1)^i divides the degree-< n lift of v.
+
+    Writing v(x) = sum_r h_r (x - 1)^r, the Taylor coefficient h_r is the
+    r-th Hasse derivative of v at 1, and v lies in C_i iff h_r = 0 for all
+    r < i.  Each h_r is the remainder of one synthetic division by x - 1,
+    which on the coefficients (highest first) is a running sum: the
+    partial sums are the quotient and the last one the remainder.  So
+    the check needs additions only, and stops at the first nonzero h_r.
+    """
     if v.field.p != spec.p or v.field.m != spec.m:
         raise ValueError("vector field does not match the code parameters")
     if v.n != spec.n:
         raise ValueError(f"length mismatch: {v.n} vs {spec.n}")
-    fs = v.field
-    x_minus_one = Poly(fs, (fs.neg(1), 1))
-    cur = v.lift()
+    add = v.field.add
+    word = v.coeffs[::-1]
     for _ in range(spec.i):
-        if cur.is_zero():
-            return True
-        cur, rem = cur.divrem(x_minus_one)
-        if not rem.is_zero():
+        word = list(accumulate(word, add))
+        if word.pop():
             return False
     return True
 

@@ -5,10 +5,31 @@ encoding are the coefficients of the element in the polynomial basis
 {1, x, ..., x^{m-1}}, constant digit least significant.  Encoding 0 is
 the additive identity, encoding 1 the multiplicative identity, and for
 m = 1 arithmetic is just integers mod p.
+
+For m > 1 every operation is a table lookup.  With Q = q - 1 and g the
+primitive element of smallest encoding, a Field holds four lists:
+
+* _log[a] = k with g^k = a for a != 0, and _log[0] = 2Q;
+* _exp[k] = g^(k mod Q) for 0 <= k < 2Q and 0 for 2Q <= k <= 4Q, so
+  a * b = _exp[_log[a] + _log[b]] holds with either factor zero too;
+* _zech[d] = log(1 + g^d) for 0 <= d < Q (2Q where 1 + g^d = 0), the
+  Zech logarithms: a + b = g^la (1 + g^(lb - la)) for nonzero a, b, and a
+  negative lb - la indexes _zech modulo Q as Python lists do;
+* _neg[a] = -a.
+
+For p = 2, adding base-2 digits without carries is a ^ b, which add and
+add_vec use in place of _zech (add_vec for m = 1 too).
+
+That is 7q + O(1) entries, never q^2, so any field whose elements can be
+listed fits.  The tables are built once per instance on first use (the
+first read of a missing slot lands in __getattr__), not at import nor in
+build_field, and __reduce__ leaves them out.  The base-p digit loops
+(_digit_add, _digit_mul) only fill them.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -76,14 +97,70 @@ def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     return True
 
 
+def _digit_add(p: int, a: int, b: int) -> int:
+    # digitwise sum mod p of two encodings
+    r = 0
+    pw = 1
+    while a or b:
+        r += ((a + b) % p) * pw
+        a //= p
+        b //= p
+        pw *= p
+    return r
+
+
+def _digit_mul(p: int, modulus: Sequence[int], a: int, b: int) -> int:
+    # schoolbook product of the digit polynomials, reduced by the modulus
+    m = len(modulus) - 1
+    da = _digits(a, p, m)
+    db = _digits(b, p, m)
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(len(prod) - 1, m - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j in range(m):
+                prod[k - m + j] = (prod[k - m + j] - c * modulus[j]) % p
+    return _encode(prod[:m], p)
+
+
+def _tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
+    """(_exp, _log, _zech, _neg) for F_p[x]/(modulus); see the module docstring."""
+    q = p ** (len(modulus) - 1)
+    big_q = q - 1
+    for g in range(2, q):
+        powers = [1]
+        a = g
+        while a != 1:
+            powers.append(a)
+            a = _digit_mul(p, modulus, a, g)
+        if len(powers) == big_q:
+            break
+    log = [2 * big_q] * q
+    for k, a in enumerate(powers):
+        log[a] = k
+    exp = powers + powers + [0] * (2 * big_q + 1)
+    zech = [log[_digit_add(p, 1, a)] for a in powers]
+    neg = [_digit_mul(p, modulus, a, p - 1) for a in range(q)]
+    return exp, log, zech, neg
+
+
+_TABLE_SLOTS = ("_exp", "_log", "_zech", "_neg")
+
+
 class Field:
     """F_{p^m} presented by a monic irreducible degree-m modulus over F_p.
 
     Immutable; all operations are pure functions on int encodings, so a
-    Field can be shared freely across threads.
+    Field can be shared freely across threads (two threads that race to
+    build the tables build equal ones).
     """
 
-    __slots__ = ("p", "m", "q", "modulus")
+    __slots__ = ("p", "m", "q", "modulus") + _TABLE_SLOTS
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -101,6 +178,14 @@ class Field:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", p**m)
         object.__setattr__(self, "modulus", modulus)
+
+    def __getattr__(self, name):
+        # only reached while a table slot is unset: fill all four at once
+        if name not in _TABLE_SLOTS or self.m == 1:
+            raise AttributeError(name)
+        for slot, table in zip(_TABLE_SLOTS, _tables(self.p, self.modulus)):
+            object.__setattr__(self, slot, table)
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -131,73 +216,66 @@ class Field:
         return range(self.q)
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        r = 0
-        pw = 1
-        while a or b:
-            r += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return r
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
+
+    def add_vec(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
+        """Elementwise u + v of two equal-length sequences."""
+        if self.p == 2:
+            return list(map(operator.xor, u, v))
+        if self.m == 1:
+            p = self.p  # a + b < 2p for encodings; a compare beats a % here
+            return [s - p if s >= p else s for s in map(operator.add, u, v)]
+        exp, log, zech = self._exp, self._log, self._zech
+        return [
+            exp[log[a] + zech[log[b] - log[a]]] if a and b else a or b
+            for a, b in zip(u, v)
+        ]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return -a % p
-        r = 0
-        pw = 1
-        while a:
-            r += (-a % p) * pw
-            a //= p
-            pw *= p
-        return r
+            return -a % self.p
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.m == 1:
+            return (a - b) % self.p
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return a * b % p
-        if a == 0 or b == 0:
-            return 0
-        da = _digits(a, p, self.m)
-        db = _digits(b, p, self.m)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(self.m):
-                    prod[k - self.m + j] = (prod[k - self.m + j] - c * mod[j]) % p
-        return _encode(prod[: self.m], p)
+            return a * b % self.p
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def pow(self, a: int, k: int) -> int:
-        """a^k by square-and-multiply, k >= 0 (a^0 = 1, including a = 0)."""
+        """a^k for k >= 0 (a^0 = 1, including a = 0)."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
-        r = 1
-        base = a
-        while k:
-            if k & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return r
+        if self.m == 1:
+            return pow(a, k, self.p)
+        if k == 0:
+            return 1
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, computed as a^(q-2)."""
+        """Multiplicative inverse."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
+        if self.m == 1:
+            return pow(a, self.p - 2, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def scalar(self, c: int) -> int:
         """Embed an integer as a prime-subfield element (c mod p)."""

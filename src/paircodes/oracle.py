@@ -14,6 +14,13 @@ weights meet lower bounds proven without the closed forms:
   c'(1) = a j + b k = a (j - k) = 0, so p divides j - k; as p divides
   n = p^e, j - k is not +-1 mod n, the two symbols are not cyclically
   adjacent and w_p = 4; heavier words have w_p >= min(n, w_H + 1);
+* for e = 1 (n = p) and i < n, w_H >= i + 1: c lies in C_i iff its
+  Hasse derivatives at 1, sum_j C(j, r) c_j, vanish for r < i.  On a
+  support of w <= i positions j < p these conditions for r < w form a
+  w x w system whose row r is the degree-r polynomial C(j, r) in j with
+  leading coefficient 1/r!, nonzero mod p as r < p; row reduction turns
+  it into the Vandermonde matrix (j^r) at w distinct points mod p, which
+  is invertible, so c = 0.  With the bound above, w_p >= min(n, i + 2);
 * the codes are nested, C_i within C_{i-1}, so verify_family carries
   the minima it certified for row i - 1 into row i as lower bounds.
 
@@ -127,8 +134,8 @@ def _codeword_stream(
     n = spec.n
     dim = spec.dimension
     cap = budget.max_codewords
+    add_vec = field.add_vec
     gen = x_minus_one_power(field, spec.i, n).coeffs
-    add_table = [[field.add(a, b) for b in range(q)] for a in range(q)]
     shifts = [tuple(gen[(k - j) % n] for k in range(n)) for j in range(dim)]
 
     scaled: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -168,11 +175,11 @@ def _codeword_stream(
                     j = 0
                     while digits[j] == q - 1:
                         dv = delta_vec(j, q - 1)
-                        word = [add_table[a][b] for a, b in zip(word, dv)]
+                        word = add_vec(word, dv)
                         digits[j] = 0
                         j += 1
                     dv = delta_vec(j, digits[j])
-                    word = [add_table[a][b] for a, b in zip(word, dv)]
+                    word = add_vec(word, dv)
                     digits[j] += 1
                 count += 1
                 if count > cap:
@@ -234,7 +241,7 @@ def _scan_min_weights(
             scanned=0,
             space=space,
         )
-    lb_h = max(known[0], 2 if spec.i else 1)
+    lb_h = max(known[0], 2 if spec.i else 1, spec.i + 1 if spec.e == 1 else 0)
     lb_p = max(known[1], min(n, lb_h + 1), min(n, 4) if spec.i >= 2 else 0)
     best_h = n + 1
     best_p = n + 1

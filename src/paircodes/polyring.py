@@ -26,7 +26,7 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.field.check(c) for c in self.coeffs)
+        coeffs = tuple(map(self.field.check, self.coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -115,9 +115,7 @@ class RingElement:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("ring length must be positive")
-        object.__setattr__(
-            self, "coeffs", tuple(self.field.check(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(self.field.check, self.coeffs)))
 
     @property
     def n(self) -> int:
@@ -139,9 +137,7 @@ class RingElement:
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_compat(other)
         fs = self.field
-        return RingElement(
-            fs, tuple(fs.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return RingElement(fs, tuple(fs.add_vec(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "RingElement":
         fs = self.field
@@ -162,16 +158,17 @@ class RingElement:
         """Cyclic convolution (multiplication mod x^n - 1)."""
         self._check_compat(other)
         fs = self.field
+        add, mul = fs.add, fs.mul
         n = self.n
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * n
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = i + j
-                        if k >= n:
-                            k -= n
-                        out[k] = fs.add(out[k], fs.mul(a, b))
+                for j, b in terms:
+                    k = i + j
+                    if k >= n:
+                        k -= n
+                    out[k] = add(out[k], mul(a, b))
         return RingElement(fs, tuple(out))
 
     def shift(self, s: int) -> "RingElement":

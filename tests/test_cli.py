@@ -84,6 +84,18 @@ def test_verify_budget_exit_three():
     assert all(r["oracle_d_pair"] is None and r["witness"] is None for r in skipped)
 
 
+def test_simulate_budget_exit_three():
+    proc = run_cli(
+        "simulate", "--p", "3", "--e", "2", "--m", "1", "--i", "1", "--t", "1",
+        "--trials", "2", "--seed", "1", "--max-enum", "100",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "incomplete: codebook of 6561 codewords exceeds the budget of 100\n"
+    )
+
+
 def test_verify_byte_deterministic():
     runs = [
         run_cli("verify", "--p", "3", "--e", "2", "--m", "1", "--format", "json", binary=True)

@@ -78,6 +78,34 @@ def test_contains_examples():
         contains(spec, vector(fs, (1, 0)))
 
 
+def _taylor_zeros(v):
+    # how many leading Taylor coefficients at x = 1 vanish, by Poly.divrem
+    fs = v.field
+    x_minus_one = Poly(fs, (fs.neg(1), 1))
+    cur, zeros = v.lift(), 0
+    while zeros < v.n:
+        cur, rem = cur.divrem(x_minus_one)
+        if not rem.is_zero():
+            break
+        zeros += 1
+    return zeros
+
+
+@pytest.mark.parametrize(
+    "p,m,e", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 1)]
+)
+def test_contains_matches_divrem_reference_exhaustive(p, m, e):
+    fs = build_field(p, m)
+    n = p**e
+    specs = [CodeSpec(p, m, e, i) for i in range(n + 1)]
+    for coeffs in itertools.product(fs.elements(), repeat=n):
+        v = vector(fs, coeffs)
+        zeros = _taylor_zeros(v)
+        assert [contains(spec, v) for spec in specs] == [
+            spec.i <= zeros for spec in specs
+        ]
+
+
 def test_closed_form_hamming_examples():
     assert closed_form_hamming_distance(CodeSpec(3, 1, 2, 0)) == 1
     assert closed_form_hamming_distance(CodeSpec(3, 1, 2, 4)) == 3

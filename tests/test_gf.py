@@ -161,3 +161,93 @@ def test_pickle_and_deepcopy_round_trip():
         for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert clone == obj
     assert pickle.loads(pickle.dumps(f9)).modulus == (2, 1, 1)
+
+
+# digit-loop reference arithmetic, independent of the package's tables: an
+# encoding's base-p digits are its coefficients, constant digit first
+
+
+def _ref_digits(a, p, m):
+    return [a // p**k % p for k in range(m)]
+
+
+def _ref_encode(digits, p):
+    return sum(d * p**k for k, d in enumerate(digits))
+
+
+def _ref_add(fs, a, b):
+    da, db = _ref_digits(a, fs.p, fs.m), _ref_digits(b, fs.p, fs.m)
+    return _ref_encode([(x + y) % fs.p for x, y in zip(da, db)], fs.p)
+
+
+def _ref_neg(fs, a):
+    return _ref_encode([-x % fs.p for x in _ref_digits(a, fs.p, fs.m)], fs.p)
+
+
+def _ref_mul(fs, a, b):
+    p, m = fs.p, fs.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_ref_digits(a, p, m)):
+        for j, y in enumerate(_ref_digits(b, p, m)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * m - 2, m - 1, -1):  # x^m = -(c_0 + ... + c_{m-1} x^{m-1})
+        c, prod[k] = prod[k], 0
+        for j in range(m):
+            prod[k - m + j] = (prod[k - m + j] - c * fs.modulus[j]) % p
+    return _ref_encode(prod[:m], p)
+
+
+REFERENCE_FIELDS = [
+    build_field(2, 1),
+    build_field(7, 1),
+    build_field(2, 2),
+    build_field(2, 3),
+    build_field(3, 2),
+    build_field(2, 4),
+    build_field(5, 2),
+    build_field(3, 3),
+    Field(3, 2, (2, 1, 1)),
+    Field(2, 4, (1, 1, 1, 1, 1)),  # x is not primitive: x^5 = 1
+]
+
+
+@pytest.mark.parametrize("fs", REFERENCE_FIELDS, ids=repr)
+def test_table_arithmetic_matches_digit_reference(fs):
+    elems = list(fs.elements())
+    for a in elems:
+        assert fs.neg(a) == _ref_neg(fs, a)
+        products = {}
+        for b in elems:
+            assert fs.add(a, b) == _ref_add(fs, a, b)
+            assert fs.sub(a, b) == _ref_add(fs, a, _ref_neg(fs, b))
+            products[b] = fs.mul(a, b)
+            assert products[b] == _ref_mul(fs, a, b)
+        assert fs.add_vec(elems, [a] * fs.q) == [fs.add(b, a) for b in elems]
+        if a:
+            assert products[fs.inv(a)] == 1
+        power = 1
+        for k in range(2 * fs.q):
+            assert fs.pow(a, k) == power
+            power = _ref_mul(fs, power, a)
+
+
+def test_tables_are_lazy_per_instance_and_not_pickled():
+    def built(fs):
+        try:
+            Field._log.__get__(fs)
+        except AttributeError:
+            return False
+        return True
+
+    default, other = build_field(3, 3), Field(3, 3, (2, 2, 0, 1))
+    assert default != other and not built(other)
+    assert [other.mul(13, b) for b in other.elements()] != [
+        default.mul(13, b) for b in default.elements()
+    ]
+    assert built(other) and not built(Field(3, 3, (2, 2, 0, 1)))
+    # O(q) memory: 4q - 3 exp entries, q - 1 Zech logarithms, q logs and negatives
+    slots = Field.__slots__[4:]
+    assert sum(len(getattr(Field, s).__get__(other)) for s in slots) == 7 * other.q - 4
+    assert not built(pickle.loads(pickle.dumps(other)))
+    assert not built(copy.deepcopy(other))
+    assert not built(build_field(7, 1)) and build_field(7, 1).mul(3, 5) == 1

@@ -260,6 +260,17 @@ def test_scan_stops_at_pair_floor_for_i_ge_2(p, m, e):
     assert res.scanned <= 4 < codeword_class_count(spec, True)
 
 
+@pytest.mark.parametrize("p,e,m", [(7, 1, 1), (5, 1, 2)])
+def test_scan_stops_at_hamming_floor_for_e1(p, e, m):
+    # for n = p, w_H >= i + 1 (a Vandermonde argument), and the generator,
+    # walked first, has weight i + 1; (7,1,1) at i = 2 once walked 2,801 words
+    for i in range(p**e):
+        spec = CodeSpec(p, m, e, i)
+        res = _scan_min_weights(spec, EnumBudget(), spec.field())
+        assert (res.min_hamming, res.min_pair) == (i + 1, min(spec.n, i + 2))
+        assert res.scanned == 1
+
+
 def _template(label):
     return re.sub(r"\[.*\]", "", label)
 
