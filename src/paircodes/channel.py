@@ -9,8 +9,10 @@ d >= 2t + 1, and the experiment below validates exactly that.
 The search is bit-sliced: the codebook holds one big int per (position,
 symbol) whose bit j marks codeword j, so a single AND finds every
 codeword agreeing with one received pair.  A held book costs n * q bits
-per codeword; while it is built, n bytes per codeword (more when a
-symbol needs more than one byte).
+per codeword.  It is built from the generator, without walking the
+codewords: each position's planes double over the base-p digits of the
+codeword index (see _codebook).  That is O(q) bits of big-int work per
+codeword and position, and the build holds little beyond the book.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import CodeSpec
+from .codes import CodeSpec, generator
 from .gf import Field
-from .oracle import BudgetExhausted, EnumBudget, _codeword_stream
+from .oracle import BudgetExhausted, EnumBudget
 from .pairmetrics import PairVector, pair_read
 from .polyring import RingElement
 
@@ -75,10 +77,6 @@ def inject_pair_errors(
     )
 
 
-# translate tables: byte s -> b"1" if bit b of s is set, else b"0"
-_BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
-
-
 class _Codebook:
     """Every codeword of a code, bit-sliced by position and symbol.
 
@@ -112,30 +110,60 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
             f"codebook of {spec.size} codewords exceeds the budget of {max_codewords}",
             space=spec.size,
         )
-    n = spec.n
-    q = field.q
-    bits = (q - 1).bit_length()
-    width = (bits + 7) // 8  # bytes per symbol, little-endian
-    rows = bytearray(n * width)  # one row per codeword, zero first
-    if spec.dimension >= 1:
-        budget = EnumBudget(max_codewords=max_codewords, reduce_by_scalars=False)
-        for word in _codeword_stream(spec, field, budget):
-            if width == 1:
-                rows += bytes(word)
-            else:
-                rows += b"".join(s.to_bytes(width, "little") for s in word)
-    full = (1 << spec.size) - 1
+    # Codeword j is encode(f) for the message f whose coefficients are the
+    # base-q digits of j (zero first, then ascending messages).  So the
+    # base-p digit t = b*m + d of j, of value a, adds a * x^d * g[(k-b) % n]
+    # at position k, and each position's planes double over those digits.
+    n, p, q = spec.n, field.p, field.q
+    gen = generator(spec, field).coeffs  # every coefficient lies in F_p
     planes = []
     for k in range(n):
-        # reversed byte columns put codeword j at bit j of int(..., 2)
-        columns = [rows[(k * width + d) :: n * width][::-1] for d in range(width)]
-        by_symbol = [full]
-        for b in range(bits):
-            hi = int(columns[b // 8].translate(_BIT_DIGITS[b % 8]), 2)
-            lo = full ^ hi
-            by_symbol = [x & lo for x in by_symbol] + [x & hi for x in by_symbol]
-        planes.append(tuple(by_symbol[:q]))
+        by_symbol, span = [1] + [0] * (q - 1), 1
+        for b in range(spec.dimension):
+            for unit in (p**d for d in range(field.m)):  # x^d encodes as p^d
+                by_symbol = _add_digit(by_symbol, span, p, gen[(k - b) % n], unit)
+                span *= p
+        planes.append(tuple(by_symbol))
     return _Codebook(tuple(planes), spec.size)
+
+
+def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> list[int]:
+    """Planes over p * span codewords from the planes over the first span.
+
+    Codeword a*span + j (0 <= a < p, j < span) has codeword j's symbol
+    plus a * gamma, for gamma = g * unit with g in F_p and unit = p^d, so
+    block a of new plane v is old plane v - a*gamma.  In each coset
+    u + F_p*gamma (u with digit d zero) the p old planes are packed
+    once, u + c*gamma into block -c mod p, and new plane u + c*gamma is
+    that pack rotated up by c blocks.  No plane is an OR of p shifted
+    blocks, which would cost a factor of p in bits.
+    """
+    if not g:  # gamma = 0: every plane repeats p times
+        return [x and _repeat(x, span, p) for x in by_symbol]
+    width = p * span
+    full = (1 << width) - 1
+    steps = [c * g % p * unit for c in range(p)]  # c * gamma, no carries
+    out = [0] * len(by_symbol)
+    for u in (u for u in range(len(by_symbol)) if not u // unit % p):
+        coset = [u + step for step in steps]
+        sources = [by_symbol[v] for v in coset]
+        if any(sources):
+            packed = 0
+            for plane in sources[1:] + sources[:1]:  # blocks p-1, ..., 1, 0
+                packed = packed << span | plane
+            twice = packed | packed << width
+            for c, v in enumerate(coset):
+                out[v] = twice >> (width - c * span) & full
+    return out
+
+
+def _repeat(plane: int, span: int, times: int) -> int:
+    """times copies of a span-bit plane side by side, by doubling."""
+    if times == 1:
+        return plane
+    half = _repeat(plane, span, times // 2)
+    half |= half << times // 2 * span
+    return half << span | plane if times % 2 else half
 
 
 def decode_min_pair_distance(

@@ -147,6 +147,47 @@ def test_cached_book_is_small():
     assert held < 2_000_000
 
 
+# GF(25) and GF(27): odd p with m > 1; (2,1,2,2) has g = 1 + x^2, so a
+# zero generator coefficient (gamma = 0) lands on some digit of every
+# position; (2,9,1,1) has q = 512, (257,1,1,256) q = 257
+BOOK_SPECS = REFERENCE_SPECS + [
+    (5, 2, 1, 2), (5, 2, 1, 3), (3, 3, 1, 1), (3, 3, 2, 7),
+    (2, 1, 2, 2), (2, 9, 1, 1), (257, 1, 1, 256),
+]
+
+
+def test_codebook_matches_enumeration():
+    for p, m, e, i in BOOK_SPECS:
+        spec = CodeSpec(p, m, e, i)
+        field = spec.field()
+        words = [zero_ring_element(field, spec.n)]
+        if spec.dimension:
+            words += enumerate_codewords(spec, EnumBudget(reduce_by_scalars=False))
+        expected = [[0] * field.q for _ in range(spec.n)]
+        for j, word in enumerate(words):
+            for k, v in enumerate(word.coeffs):
+                expected[k][v] |= 1 << j
+        book = channel._codebook(spec, field, EnumBudget().max_codewords)
+        assert len(book) == len(words) == spec.size
+        assert [list(column) for column in book.planes] == expected, spec
+
+
+def test_book_build_peak_is_held_size():
+    # (2,1,5,14) holds 262,144 words of length 32: 2.2 MB of planes
+    spec = CodeSpec(2, 1, 5, 14)
+    field = spec.field()
+    channel._codebook.cache_clear()
+    tracemalloc.start()
+    try:
+        book = channel._codebook(spec, field, EnumBudget().max_codewords)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        channel._codebook.cache_clear()
+    assert len(book) == 262_144
+    assert peak < 1.25 * held
+
+
 def test_experiment_zero_errors():
     rate, outcomes = correctability_experiment(CodeSpec(3, 1, 2, 4), 0, 20, seed=3)
     assert rate == 1.0

@@ -233,6 +233,21 @@ def test_simulate_field_above_256_symbols():
     )
 
 
+def test_simulate_largest_default_binary_book():
+    # 2^23 = 8,388,608 words of length 32: the largest book the default
+    # --max-enum admits at n = 32
+    proc = run_cli(
+        "simulate", "--p", "2", "--e", "5", "--m", "1", "--i", "9",
+        "--t", "1", "--trials", "2", "--seed", "1",
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "p  e  m  i  t  trials  seed  d_pair  max_guaranteed_t  successes  success_rate\n"
+        "-  -  -  -  -  ------  ----  ------  ----------------  ---------  ------------\n"
+        "2  5  1  9  1  2       1     4       1                 2          1.0\n"
+    )
+
+
 def test_simulate_requires_seed():
     proc = run_cli(
         "simulate", "--p", "3", "--e", "2", "--m", "1", "--i", "4",
