@@ -9,10 +9,11 @@ d >= 2t + 1, and the experiment below validates exactly that.
 The search is bit-sliced: the codebook holds one big int per (position,
 symbol) whose bit j marks codeword j, so a single AND finds every
 codeword agreeing with one received pair.  A held book costs n * q bits
-per codeword.  It is built from the generator, without walking the
-codewords: each position's planes double over the base-p digits of the
-codeword index (see _codebook).  That is O(q) bits of big-int work per
-codeword and position, and the build holds little beyond the book.
+per codeword, and a book over 64 bits per budgeted codeword is refused.
+Codewords are numbered as in codes.digit_vectors, and the book is built
+from those vectors without walking the codewords: each position's
+planes double over the base-p digits of the index (see _add_digit), at
+O(q) bits of big-int work per codeword and position.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import CodeSpec, generator
+from .codes import CodeSpec, digit_vectors
 from .gf import Field
 from .oracle import BudgetExhausted, EnumBudget
 from .pairmetrics import PairVector, pair_read
@@ -80,27 +81,33 @@ def inject_pair_errors(
 class _Codebook:
     """Every codeword of a code, bit-sliced by position and symbol.
 
-    Bit j of planes[k][v] is set iff codeword j has symbol v at
-    position k; codewords are numbered zero first, then in ascending
-    message order.  len() is the number of codewords.
+    Bit j of planes[k][v] is set iff codeword j, the F_p-combination of
+    the digit vectors vecs with the base-p digits of j, has symbol v at
+    position k.  len() is the number of codewords, p ** len(vecs).
     """
 
     # a plain class: a dataclass would add about 1 ms to every import
-    __slots__ = ("planes", "size")
+    __slots__ = ("planes", "vecs", "field")
 
-    def __init__(self, planes: tuple[tuple[int, ...], ...], size: int):
+    def __init__(self, planes: tuple[tuple[int, ...], ...], vecs: list, field: Field):
         self.planes = planes
-        self.size = size
+        self.vecs = vecs
+        self.field = field
 
     def __len__(self) -> int:
-        return self.size
+        return self.field.p ** len(self.vecs)
 
     def word(self, j: int) -> tuple[int, ...]:
-        """Coefficients of codeword j."""
-        return tuple(
-            next(v for v, plane in enumerate(column) if plane >> j & 1)
-            for column in self.planes
-        )
+        """Coefficients of codeword j: its base-p digits times the digit vectors."""
+        p, add_vec, mul = self.field.p, self.field.add_vec, self.field.mul
+        word = [0] * len(self.planes)
+        for gamma in self.vecs:
+            if not j:
+                break
+            j, a = divmod(j, p)
+            if a:
+                word = add_vec(word, gamma if a == 1 else [mul(a, c) for c in gamma])
+        return tuple(word)
 
 
 @lru_cache(maxsize=8)
@@ -110,21 +117,26 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
             f"codebook of {spec.size} codewords exceeds the budget of {max_codewords}",
             space=spec.size,
         )
-    # Codeword j is encode(f) for the message f whose coefficients are the
-    # base-q digits of j (zero first, then ascending messages).  So the
-    # base-p digit t = b*m + d of j, of value a, adds a * x^d * g[(k-b) % n]
-    # at position k, and each position's planes double over those digits.
-    n, p, q = spec.n, field.p, field.q
-    gen = generator(spec, field).coeffs  # every coefficient lies in F_p
+    bits = spec.size * spec.n * spec.q
+    if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
+        raise BudgetExhausted(
+            f"codebook of {spec.size} codewords needs {bits} plane bits,"
+            f" over the budget of {64 * max_codewords}",
+            space=spec.size,
+        )
+    p, q = field.p, field.q
+    vecs = digit_vectors(spec, field)
+    # each entry of gamma_t is g * p^d with g in F_p; (x-1)^i is monic,
+    # so the least nonzero entry is the digit's unit p^d
+    units = [min(filter(None, gamma)) for gamma in vecs]
     planes = []
-    for k in range(n):
+    for k in range(spec.n):
         by_symbol, span = [1] + [0] * (q - 1), 1
-        for b in range(spec.dimension):
-            for unit in (p**d for d in range(field.m)):  # x^d encodes as p^d
-                by_symbol = _add_digit(by_symbol, span, p, gen[(k - b) % n], unit)
-                span *= p
+        for gamma, unit in zip(vecs, units):
+            by_symbol = _add_digit(by_symbol, span, p, gamma[k] // unit, unit)
+            span *= p
         planes.append(tuple(by_symbol))
-    return _Codebook(tuple(planes), spec.size)
+    return _Codebook(tuple(planes), vecs, field)
 
 
 def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> list[int]:
@@ -199,7 +211,7 @@ def decode_min_pair_distance(
         else:
             if carry:
                 counter.append(carry)
-    best = (1 << book.size) - 1
+    best = (1 << len(book)) - 1
     for digit in reversed(counter):  # keep the most agreements, top bit first
         if best & digit:
             best &= digit

@@ -3,7 +3,7 @@ listing, and pair-error channel experiments.
 
 Exit codes: 0 success / all-match; 1 mismatch or guarantee violation;
 2 usage or input error; 3 incomplete verification (budget skips) or a
-simulate codebook over its --max-enum budget.
+simulate codebook over --max-enum words or 64 * --max-enum plane bits.
 tsv and json outputs are byte-deterministic for identical arguments.
 """
 
@@ -329,7 +329,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t", type=int, required=True)
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--max-enum", type=int, default=10_000_000)
+    p_sim.add_argument(
+        "--max-enum", type=int, default=10_000_000,
+        help="refuse (exit 3) a codebook over MAX_ENUM words or 64*MAX_ENUM plane bits",
+    )
 
     return parser
 

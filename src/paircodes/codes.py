@@ -77,6 +77,24 @@ def generator(spec: CodeSpec, field: Field | None = None) -> RingElement:
     return x_minus_one_power(field, spec.i, spec.n)
 
 
+def digit_vectors(spec: CodeSpec, field: Field) -> list[tuple[int, ...]]:
+    """The codewords gamma_t for the base-p digits t = b*m + d of an index.
+
+    Codeword j is encode(f) for the message f whose coefficients are the
+    base-q digits of j (constant first), so it is the F_p-combination of
+    the gamma_t with the base-p digits of j, where gamma_t = x^d * x^b * g
+    for g = (x - 1)^i.  As g has coefficients in F_p and x^d encodes as
+    p^d, gamma_t[k] = g[(k - b) % n] * p^d.
+    """
+    n = spec.n
+    gen = generator(spec, field).coeffs
+    return [
+        tuple(gen[(k - b) % n] * field.p**d for k in range(n))
+        for b in range(spec.dimension)
+        for d in range(field.m)
+    ]
+
+
 def encode(spec: CodeSpec, message: Poly) -> RingElement:
     """message * (x - 1)^i in the quotient ring; injective on messages.
 

@@ -2,8 +2,10 @@
 
 Codewords are enumerated exhaustively (optionally one representative
 per scalar class, which preserves both minimum weights) and scanned for
-exact minima with witnesses.  A scan ends early only once its best
-weights meet lower bounds proven without the closed forms:
+exact minima with witnesses.  Codeword j is the F_p-combination of
+codes.digit_vectors with the base-p digits of j, so the walk costs one
+vector add per codeword.  A scan ends early only once its best weights
+meet lower bounds proven without the closed forms:
 
 * a nonzero word has w_H >= 1, and for i >= 1 every codeword is a
   multiple of (x - 1), so c(1) = 0 and w_H >= 2;
@@ -41,9 +43,10 @@ from .codes import (
     CodeSpec,
     closed_form_hamming_distance,
     closed_form_pair_distance,
+    digit_vectors,
 )
-from .pairmetrics import hamming_distance, pair_distance, run_count
-from .polyring import RingElement, x_minus_one_power
+from .pairmetrics import hamming_distance, pair_count, pair_distance, run_count
+from .polyring import RingElement
 
 
 @dataclass(frozen=True)
@@ -112,83 +115,50 @@ class IdentityReport:
 
 def codeword_class_count(spec: CodeSpec, reduce_by_scalars: bool) -> int:
     """Number of codewords the enumeration will visit (nonzero only)."""
-    full = spec.size - 1
-    if reduce_by_scalars:
-        return full // (spec.q - 1)
-    return full
+    return (spec.size - 1) // (spec.q - 1 if reduce_by_scalars else 1)
 
 
 def _codeword_stream(
     spec: CodeSpec, field: Field, budget: EnumBudget
 ) -> Iterator[tuple[int, ...]]:
-    """Nonzero codewords as coefficient tuples, ascending message order.
+    """Nonzero codewords j as coefficient tuples, in ascending order of j.
 
-    Messages f are ordered by the integer whose base-q digits are the
-    coefficient encodings of f (constant digit least significant); with
-    scalar reduction only messages with leading coefficient 1 appear.
-    Each codeword is obtained from its predecessor by adding the scaled
-    generator-shift deltas of the digits that changed, so the walk stays
-    exhaustive while costing O(n) per codeword.
+    Codeword j combines digit_vectors with the base-p digits of j.  From
+    j - 1 to j, digits 0 .. v_p(j) each step by +1 mod p, which adds
+    steps[v_p(j)], the sum of digit vectors 0 .. v_p(j).  Without scalar
+    reduction one run walks j = 1 .. q^k - 1; with it, run b walks the
+    messages x^b + (lower terms), j = q^b .. 2 q^b - 1.
     """
-    q = field.q
-    n = spec.n
-    dim = spec.dimension
+    p = field.p
+    vecs = digit_vectors(spec, field)
+    steps = list(itertools.accumulate(vecs, field.add_vec))
+    if budget.reduce_by_scalars:
+        runs = [(t, 2 * p**t) for t in range(0, len(vecs), field.m)]
+    else:
+        runs = [(0, spec.size)]
+    words = itertools.chain.from_iterable(
+        _run(vecs[t], p**t, stop, steps, p, field.add_vec) for t, stop in runs
+    )
     cap = budget.max_codewords
-    add_vec = field.add_vec
-    gen = x_minus_one_power(field, spec.i, n).coeffs
-    shifts = [tuple(gen[(k - j) % n] for k in range(n)) for j in range(dim)]
+    yield from itertools.islice(words, cap)
+    if next(words, None) is not None:
+        raise BudgetExhausted(
+            f"budget of {cap} codewords exhausted for {spec}",
+            scanned=cap,
+            space=codeword_class_count(spec, budget.reduce_by_scalars),
+        )
 
-    scaled: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def scaled_vec(j: int, v: int) -> tuple[int, ...]:
-        key = (j, v)
-        vec = scaled.get(key)
-        if vec is None:
-            vec = tuple(field.mul(v, c) for c in shifts[j])
-            scaled[key] = vec
-        return vec
-
-    deltas: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def delta_vec(j: int, v: int) -> tuple[int, ...]:
-        # digit j steps v -> v+1, or wraps q-1 -> 0
-        key = (j, v)
-        vec = deltas.get(key)
-        if vec is None:
-            if v == q - 1:
-                vec = tuple(field.neg(c) for c in scaled_vec(j, q - 1))
-            else:
-                hi = scaled_vec(j, v + 1)
-                lo = scaled_vec(j, v)
-                vec = tuple(field.sub(a, b) for a, b in zip(hi, lo))
-            deltas[key] = vec
-        return vec
-
-    leads = (1,) if budget.reduce_by_scalars else tuple(range(1, q))
-    count = 0
-    for d in range(dim):
-        for lead in leads:
-            word = list(scaled_vec(d, lead))
-            digits = [0] * d
-            for step in range(q**d):
-                if step:
-                    j = 0
-                    while digits[j] == q - 1:
-                        dv = delta_vec(j, q - 1)
-                        word = add_vec(word, dv)
-                        digits[j] = 0
-                        j += 1
-                    dv = delta_vec(j, digits[j])
-                    word = add_vec(word, dv)
-                    digits[j] += 1
-                count += 1
-                if count > cap:
-                    raise BudgetExhausted(
-                        f"budget of {cap} codewords exhausted for {spec}",
-                        scanned=cap,
-                        space=codeword_class_count(spec, budget.reduce_by_scalars),
-                    )
-                yield tuple(word)
+def _run(word, start, stop, steps, p, add_vec) -> Iterator[tuple[int, ...]]:
+    """Codewords start .. stop - 1, given the first of them."""
+    yield word
+    for j in range(start + 1, stop):
+        v = 0
+        while not j % p:
+            j //= p
+            v += 1
+        word = tuple(add_vec(word, steps[v]))
+        yield word
 
 
 def enumerate_codewords(
@@ -203,11 +173,8 @@ def enumerate_codewords(
     """
     if spec.dimension < 1:
         raise ValueError("enumeration needs dimension >= 1")
-    if budget is None:
-        budget = EnumBudget()
-    if field is None:
-        field = spec.field()
-    for coeffs in _codeword_stream(spec, field, budget):
+    field = field or spec.field()
+    for coeffs in _codeword_stream(spec, field, budget or EnumBudget()):
         yield RingElement(field, coeffs)
 
 
@@ -257,12 +224,7 @@ def _scan_min_weights(
             best_h = w_h
             wit_h = word
         if w_h < best_p:
-            w_p = 0
-            prev = word[-1]
-            for cur in word:
-                if prev or cur:
-                    w_p += 1
-                prev = cur
+            w_p = pair_count(word)
             if w_p < best_p:
                 best_p = w_p
                 wit_p = word
@@ -280,11 +242,8 @@ def min_pair_weight_bruteforce(
     convention.  A budget overrun raises BudgetExhausted rather than
     passing off a partial scan as a minimum.
     """
-    if budget is None:
-        budget = EnumBudget()
-    if field is None:
-        field = spec.field()
-    res = _scan_min_weights(spec, budget, field)
+    field = field or spec.field()
+    res = _scan_min_weights(spec, budget or EnumBudget(), field)
     return res.min_pair, RingElement(field, res.pair_witness)
 
 
@@ -292,11 +251,8 @@ def min_hamming_weight_bruteforce(
     spec: CodeSpec, budget: EnumBudget | None = None, field: Field | None = None
 ) -> tuple[int, RingElement]:
     """Exact minimum Hamming weight over nonzero codewords, with a witness."""
-    if budget is None:
-        budget = EnumBudget()
-    if field is None:
-        field = spec.field()
-    res = _scan_min_weights(spec, budget, field)
+    field = field or spec.field()
+    res = _scan_min_weights(spec, budget or EnumBudget(), field)
     return res.min_hamming, RingElement(field, res.hamming_witness)
 
 
@@ -390,6 +346,8 @@ def verify_run_identity(
     else:
         if seed is None:
             raise ValueError("sampled mode needs a seed")
+        if samples < 1:
+            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         rng = random.Random(seed)
 
         def _sampled():

@@ -14,6 +14,7 @@ disagreement set (run_count below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .gf import Field
 from .polyring import RingElement
@@ -68,17 +69,26 @@ def pair_read(x: RingElement) -> PairVector:
     return PairVector(x.field, tuple((c[i], c[(i + 1) % n]) for i in range(n)))
 
 
+def pair_count(word: Sequence) -> int:
+    """Positions i of a plain sequence with word[i] or word[i+1 mod n] nonzero."""
+    count = 0
+    prev = word[-1]
+    for cur in word:
+        if prev or cur:
+            count += 1
+        prev = cur
+    return count
+
+
 def hamming_weight(x: RingElement) -> int:
-    return sum(1 for c in x.coeffs if c)
+    return x.n - x.coeffs.count(0)
 
 
 def pair_weight(x: RingElement) -> int:
     """Number of positions i with (x_i, x_{i+1 mod n}) != (0, 0)."""
     if x.n < 2:
         raise ValueError("pair weight needs length >= 2")
-    c = x.coeffs
-    n = x.n
-    return sum(1 for i in range(n) if c[i] or c[(i + 1) % n])
+    return pair_count(x.coeffs)
 
 
 def _check_same_shape(x: RingElement, y: RingElement):
@@ -98,13 +108,7 @@ def pair_distance(x: RingElement, y: RingElement) -> int:
     _check_same_shape(x, y)
     if x.n < 2:
         raise ValueError("pair distance needs length >= 2")
-    a, b = x.coeffs, y.coeffs
-    n = x.n
-    return sum(
-        1
-        for i in range(n)
-        if a[i] != b[i] or a[(i + 1) % n] != b[(i + 1) % n]
-    )
+    return pair_count([a != b for a, b in zip(x.coeffs, y.coeffs)])
 
 
 def pair_seq_distance(u: PairVector, v: PairVector) -> int:

@@ -170,6 +170,7 @@ def test_codebook_matches_enumeration():
         book = channel._codebook(spec, field, EnumBudget().max_codewords)
         assert len(book) == len(words) == spec.size
         assert [list(column) for column in book.planes] == expected, spec
+        assert all(book.word(j) == word.coeffs for j, word in enumerate(words)), spec
 
 
 def test_book_build_peak_is_held_size():

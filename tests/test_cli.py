@@ -2,7 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
+
+from paircodes import channel
+from paircodes.codes import CodeSpec
+from paircodes.oracle import BudgetExhausted, EnumBudget
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,6 +101,31 @@ def test_simulate_budget_exit_three():
     assert proc.stderr == (
         "incomplete: codebook of 6561 codewords exceeds the budget of 100\n"
     )
+
+
+def test_simulate_bit_budget_exit_three():
+    # (257,1,1,255) is 66,049 words under --max-enum, but 257 * 257 plane
+    # bits per word (545 MB) exceed 64 bits per budgeted word
+    proc = run_cli(
+        "simulate", "--p", "257", "--e", "1", "--m", "1", "--i", "255", "--t", "1",
+        "--trials", "1", "--seed", "1",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "incomplete: codebook of 66049 codewords needs 4362470401 plane bits,"
+        " over the budget of 640000000\n"
+    )
+    spec = CodeSpec(257, 1, 1, 255)
+    field = spec.field()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted):
+            channel._codebook(spec, field, EnumBudget().max_codewords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before any plane is built
 
 
 def test_verify_byte_deterministic():

@@ -13,7 +13,7 @@ from paircodes.codes import (
     hamming_branch,
     pair_branch,
 )
-from paircodes.gf import build_field
+from paircodes.gf import Field, build_field
 from paircodes.oracle import (
     BudgetExhausted,
     EnumBudget,
@@ -49,13 +49,22 @@ def test_enumeration_rejects_zero_dimension():
         next(enumerate_codewords(CodeSpec(2, 1, 2, 4)))
 
 
+ENCODE_ORDER_CASES = [
+    pytest.param(CodeSpec(2, 2, 2, 1), None, id="GF4"),
+    pytest.param(CodeSpec(3, 2, 1, 1), None, id="GF9"),
+    pytest.param(CodeSpec(3, 2, 1, 1), (2, 1, 1), id="GF9-mod-x2+x+2"),
+    pytest.param(CodeSpec(5, 2, 1, 3), None, id="GF25"),
+    pytest.param(CodeSpec(3, 1, 2, 6), None, id="GF3"),
+]
+
+
 @pytest.mark.parametrize("reduce_by_scalars", [False, True])
-def test_enumeration_matches_encode_order(reduce_by_scalars):
+@pytest.mark.parametrize("spec,modulus", ENCODE_ORDER_CASES)
+def test_enumeration_matches_encode_order(spec, modulus, reduce_by_scalars):
     # the stream must equal encode(f) for messages in ascending encoding
-    spec = CodeSpec(3, 1, 2, 6)
-    fs = spec.field()
+    fs = Field(spec.p, spec.m, modulus) if modulus else spec.field()
     budget = EnumBudget(reduce_by_scalars=reduce_by_scalars)
-    got = [w.coeffs for w in enumerate_codewords(spec, budget)]
+    got = [w.coeffs for w in enumerate_codewords(spec, budget, fs)]
     expected = []
     q, dim = spec.q, spec.dimension
     for t in range(1, q**dim):
@@ -198,6 +207,9 @@ def test_run_identity_guards():
         verify_run_identity(build_field(2, 1), 11)  # 2^22 ordered pairs
     with pytest.raises(ValueError):
         verify_run_identity(build_field(2, 1), 30, samples=10, seed=None)
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            verify_run_identity(build_field(2, 1), 30, samples=samples, seed=1)
 
 
 def test_enumeration_deterministic_with_extension_field():
