@@ -126,9 +126,7 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
         )
     p, q = field.p, field.q
     vecs = digit_vectors(spec, field)
-    # each entry of gamma_t is g * p^d with g in F_p; (x-1)^i is monic,
-    # so the least nonzero entry is the digit's unit p^d
-    units = [min(filter(None, gamma)) for gamma in vecs]
+    units = [p ** (t % field.m) for t in range(len(vecs))]  # t = b*m + d: x^d is p^d
     planes = []
     for k in range(spec.n):
         by_symbol, span = [1] + [0] * (q - 1), 1
@@ -194,11 +192,8 @@ def decode_min_pair_distance(
     """
     if budget is None:
         budget = EnumBudget()
-    if received.field.p != spec.p or received.field.m != spec.m:
-        raise ValueError("received word's field does not match the code")
-    if received.n != spec.n:
-        raise ValueError(f"length mismatch: {received.n} vs {spec.n}")
-    book = _codebook(spec, received.field, budget.max_codewords)
+    field = spec.check(received.field, received.n)
+    book = _codebook(spec, field, budget.max_codewords)
     planes = book.planes
     counter: list[int] = []  # counter[b] holds bit b of every agreement count
     for (a, b), here, there in zip(received.pairs, planes, planes[1:] + planes[:1]):
@@ -217,7 +212,7 @@ def decode_min_pair_distance(
             best &= digit
     if best & (best - 1):
         return None
-    return RingElement(received.field, book.word(best.bit_length() - 1))
+    return RingElement(field, book.word(best.bit_length() - 1))
 
 
 def correctability_experiment(

@@ -4,7 +4,9 @@ listing, and pair-error channel experiments.
 Exit codes: 0 success / all-match; 1 mismatch or guarantee violation;
 2 usage or input error; 3 incomplete verification (budget skips) or a
 simulate codebook over --max-enum words or 64 * --max-enum plane bits.
-tsv and json outputs are byte-deterministic for identical arguments.
+Input errors are the library's ValueErrors: main alone catches them and
+prints "error: <message>" on stderr.  tsv and json outputs are
+byte-deterministic for identical arguments.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
-
-
-class InputError(Exception):
-    """Bad user input; reported on stderr with exit code 2."""
 
 
 def _fmt_cell(value) -> str:
@@ -82,25 +80,17 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"cannot parse {what!r} as comma-separated integers") from exc
+        raise ValueError(f"cannot parse {what!r} as comma-separated integers") from exc
 
 
 def _field_from_args(args) -> Field:
-    try:
-        if getattr(args, "modulus", None):
-            coeffs = _parse_int_list(args.modulus, "--modulus")
-            return Field(args.p, args.m, coeffs)
-        return build_field(args.p, args.m)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if getattr(args, "modulus", None):
+        return Field(args.p, args.m, _parse_int_list(args.modulus, "--modulus"))
+    return build_field(args.p, args.m)
 
 
 def _vector_from_args(field: Field, text: str, what: str) -> RingElement:
-    entries = _parse_int_list(text, what)
-    try:
-        return RingElement(field, tuple(entries))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return RingElement(field, tuple(_parse_int_list(text, what)))
 
 
 def _witness_str(witness) -> str | None:
@@ -110,31 +100,25 @@ def _witness_str(witness) -> str | None:
 
 
 def cmd_table(args, out) -> int:
-    try:
-        records = [
-            {
-                "i": rec.i,
-                "dimension": rec.dimension,
-                "d_hamming": rec.d_hamming,
-                "d_pair": rec.d_pair,
-                "branch": rec.branch,
-                "mds_pair": rec.mds_pair,
-            }
-            for rec in distance_table(args.p, args.e, args.m)
-        ]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    records = [
+        {
+            "i": rec.i,
+            "dimension": rec.dimension,
+            "d_hamming": rec.d_hamming,
+            "d_pair": rec.d_pair,
+            "branch": rec.branch,
+            "mds_pair": rec.mds_pair,
+        }
+        for rec in distance_table(args.p, args.e, args.m)
+    ]
     _emit(records, args.format, out)
     return EXIT_OK
 
 
 def cmd_verify(args, out) -> int:
     field = _field_from_args(args)
-    try:
-        budget = EnumBudget(max_codewords=args.max_enum)
-        report = verify_family(args.p, args.e, args.m, budget, field)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    budget = EnumBudget(max_codewords=args.max_enum)
+    report = verify_family(args.p, args.e, args.m, budget, field)
     records = [
         {
             "i": entry.i,
@@ -161,12 +145,9 @@ def cmd_verify(args, out) -> int:
 def cmd_weight(args, out) -> int:
     field = _field_from_args(args)
     vec = _vector_from_args(field, args.vector, "--vector")
-    try:
-        w_h = hamming_weight(vec)
-        w_p = pair_weight(vec)
-        pairs = pair_read(vec).pairs
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    w_h = hamming_weight(vec)
+    w_p = pair_weight(vec)
+    pairs = pair_read(vec).pairs
     records = [
         {
             "n": vec.n,
@@ -183,12 +164,9 @@ def cmd_pairdist(args, out) -> int:
     field = _field_from_args(args)
     x = _vector_from_args(field, args.x, "--x")
     y = _vector_from_args(field, args.y, "--y")
-    try:
-        d_h = hamming_distance(x, y)
-        d_p = pair_distance(x, y)
-        blocks = run_count(x, y).block_count
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    d_h = hamming_distance(x, y)
+    d_p = pair_distance(x, y)
+    blocks = run_count(x, y).block_count
     identity = "n/a"
     violated = False
     if 0 < d_h < x.n:
@@ -209,33 +187,22 @@ def cmd_pairdist(args, out) -> int:
 
 def cmd_mds(args, out) -> int:
     records = []
-    try:
-        for i in range(args.p**args.e):
-            spec = CodeSpec(args.p, args.m, args.e, i)
-            if is_mds_pair(spec):
-                records.append(
-                    {
-                        "i": i,
-                        "dimension": spec.dimension,
-                        "d_pair": spec.i + 2,
-                    }
-                )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    for i in range(CodeSpec(args.p, args.m, args.e, 0).n):
+        spec = CodeSpec(args.p, args.m, args.e, i)
+        if is_mds_pair(spec):
+            records.append({"i": i, "dimension": spec.dimension, "d_pair": i + 2})
     _emit(records, args.format, out)
     return EXIT_OK
 
 
 def cmd_simulate(args, out) -> int:
+    spec = CodeSpec(args.p, args.m, args.e, args.i)
+    d_p = closed_form_pair_distance(spec)
+    budget = EnumBudget(max_codewords=args.max_enum)
     try:
-        spec = CodeSpec(args.p, args.m, args.e, args.i)
-        d_p = closed_form_pair_distance(spec)
-        budget = EnumBudget(max_codewords=args.max_enum)
         rate, outcomes = correctability_experiment(
             spec, args.t, args.trials, args.seed, budget
         )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     except BudgetExhausted as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
@@ -344,7 +311,7 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     try:
         return args.func(args, sys.stdout)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

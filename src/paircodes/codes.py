@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .gf import Field, build_field, is_prime
-from .polyring import Poly, RingElement, x_minus_one_power
+from .polyring import Poly, RingElement, _convolve, x_minus_one_power
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,14 @@ class CodeSpec:
 
     def field(self) -> Field:
         return build_field(self.p, self.m)
+
+    def check(self, field: Field, n: int | None = None) -> Field:
+        """field, if it is F_{p^m} under any modulus and n (if given) is p^e."""
+        if (field.p, field.m) != (self.p, self.m):
+            raise ValueError("field does not match the code parameters")
+        if n is not None and n != self.n:
+            raise ValueError(f"length mismatch: {n} vs {self.n}")
+        return field
 
 
 @dataclass(frozen=True)
@@ -101,14 +109,13 @@ def encode(spec: CodeSpec, message: Poly) -> RingElement:
     The message degree must be below the code dimension (zero message
     allowed); that range makes encoding a bijection onto the code.
     """
-    if message.field.p != spec.p or message.field.m != spec.m:
-        raise ValueError("message field does not match the code parameters")
+    field = spec.check(message.field)
     if message.degree >= spec.dimension:
         raise ValueError(
             f"message degree {message.degree} too large for dimension {spec.dimension}"
         )
-    gen = generator(spec, message.field)
-    return message.to_ring(spec.n) * gen
+    gen = generator(spec, field).coeffs
+    return RingElement(field, tuple(_convolve(field, message.coeffs, gen, spec.n)))
 
 
 def contains(spec: CodeSpec, v: RingElement) -> bool:
@@ -121,11 +128,7 @@ def contains(spec: CodeSpec, v: RingElement) -> bool:
     partial sums are the quotient and the last one the remainder.  So
     the check needs additions only, and stops at the first nonzero h_r.
     """
-    if v.field.p != spec.p or v.field.m != spec.m:
-        raise ValueError("vector field does not match the code parameters")
-    if v.n != spec.n:
-        raise ValueError(f"length mismatch: {v.n} vs {spec.n}")
-    add = v.field.add
+    add = spec.check(v.field, v.n).add
     word = v.coeffs[::-1]
     for _ in range(spec.i):
         word = list(accumulate(word, add))
@@ -249,7 +252,7 @@ def is_mds_pair(spec: CodeSpec) -> bool:
 def distance_table(p: int, e: int, m: int) -> list[DistanceRecord]:
     """Closed-form records for every i in [0, p^e]; `verified` left unset."""
     records = []
-    for i in range(p**e + 1):
+    for i in range(CodeSpec(p, m, e, 0).n + 1):
         spec = CodeSpec(p, m, e, i)
         d_h = closed_form_hamming_distance(spec)
         d_p, branch = pair_branch(spec)

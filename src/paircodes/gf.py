@@ -61,17 +61,16 @@ def _encode(digits: Sequence[int], p: int) -> int:
     return value
 
 
-def _monic_divides(p: int, divisor: Sequence[int], target: Sequence[int]) -> bool:
-    # synthetic division by a monic divisor; True iff the remainder vanishes
-    r = list(target)
-    dd = len(divisor) - 1
+def _reduce(p: int, monic: Sequence[int], coeffs: Sequence[int]) -> list[int]:
+    # remainder of coeffs modulo a monic polynomial over F_p, by synthetic division
+    r = list(coeffs)
+    dd = len(monic) - 1
     for k in range(len(r) - 1, dd - 1, -1):
         c = r[k]
         if c:
-            r[k] = 0
             for j in range(dd):
-                r[k - dd + j] = (r[k - dd + j] - c * divisor[j]) % p
-    return not any(r)
+                r[k - dd + j] = (r[k - dd + j] - c * monic[j]) % p
+    return r[:dd]
 
 
 def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
@@ -92,7 +91,7 @@ def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     for d in range(1, deg // 2 + 1):
         for t in range(p**d):
             divisor = _digits(t, p, d) + [1]
-            if _monic_divides(p, divisor, coeffs):
+            if not any(_reduce(p, divisor, coeffs)):
                 return False
     return True
 
@@ -119,13 +118,7 @@ def _digit_mul(p: int, modulus: Sequence[int], a: int, b: int) -> int:
         if ai:
             for j, bj in enumerate(db):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, m - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(m):
-                prod[k - m + j] = (prod[k - m + j] - c * modulus[j]) % p
-    return _encode(prod[:m], p)
+    return _encode(_reduce(p, modulus, prod), p)
 
 
 def _tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
@@ -276,10 +269,6 @@ class Field:
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         return self._exp[self.q - 1 - self._log[a]]
-
-    def scalar(self, c: int) -> int:
-        """Embed an integer as a prime-subfield element (c mod p)."""
-        return c % self.p
 
 
 def _first_irreducible(p: int, m: int) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf import Field, build_field
+from .gf import Field
 from .codes import (
     CodeSpec,
     closed_form_hamming_distance,
@@ -173,7 +173,7 @@ def enumerate_codewords(
     """
     if spec.dimension < 1:
         raise ValueError("enumeration needs dimension >= 1")
-    field = field or spec.field()
+    field = spec.check(field or spec.field())
     for coeffs in _codeword_stream(spec, field, budget or EnumBudget()):
         yield RingElement(field, coeffs)
 
@@ -242,7 +242,7 @@ def min_pair_weight_bruteforce(
     convention.  A budget overrun raises BudgetExhausted rather than
     passing off a partial scan as a minimum.
     """
-    field = field or spec.field()
+    field = spec.check(field or spec.field())
     res = _scan_min_weights(spec, budget or EnumBudget(), field)
     return res.min_pair, RingElement(field, res.pair_witness)
 
@@ -251,7 +251,7 @@ def min_hamming_weight_bruteforce(
     spec: CodeSpec, budget: EnumBudget | None = None, field: Field | None = None
 ) -> tuple[int, RingElement]:
     """Exact minimum Hamming weight over nonzero codewords, with a witness."""
-    field = field or spec.field()
+    field = spec.check(field or spec.field())
     res = _scan_min_weights(spec, budget or EnumBudget(), field)
     return res.min_hamming, RingElement(field, res.hamming_witness)
 
@@ -269,17 +269,16 @@ def verify_family(
     never silently trusted; the verdict is "incomplete" when any entry
     was skipped and "mismatch" as soon as one disagrees.
     """
-    if budget is None:
-        budget = EnumBudget()
-    if field is None:
-        field = build_field(p, m)
+    family = CodeSpec(p, m, e, 0)  # validates p, m and e before the loop
+    field = family.check(field or family.field())
+    budget = budget or EnumBudget()
     entries = []
     any_mismatch = False
     any_skip = False
     # minima certified for a row bound those of every later row, a subcode;
     # skips (space shrinks with i) only come before the first certified row
     known = (0, 0)
-    for i in range(p**e + 1):
+    for i in range(family.n + 1):
         spec = CodeSpec(p, m, e, i)
         f_dh = closed_form_hamming_distance(spec)
         f_dp = closed_form_pair_distance(spec)

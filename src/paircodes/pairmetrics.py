@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gf import Field
-from .polyring import RingElement
+from .polyring import RingElement, check_shape
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,14 @@ def pair_weight(x: RingElement) -> int:
     return pair_count(x.coeffs)
 
 
-def _check_same_shape(x: RingElement, y: RingElement):
-    if x.field != y.field:
-        raise ValueError("words from different fields")
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-
-
 def hamming_distance(x: RingElement, y: RingElement) -> int:
-    _check_same_shape(x, y)
+    check_shape(x, y, "words")
     return sum(1 for a, b in zip(x.coeffs, y.coeffs) if a != b)
 
 
 def pair_distance(x: RingElement, y: RingElement) -> int:
     """Positions where the pair reads of x and y differ (cyclic indices)."""
-    _check_same_shape(x, y)
+    check_shape(x, y, "words")
     if x.n < 2:
         raise ValueError("pair distance needs length >= 2")
     return pair_count([a != b for a, b in zip(x.coeffs, y.coeffs)])
@@ -113,10 +106,7 @@ def pair_distance(x: RingElement, y: RingElement) -> int:
 
 def pair_seq_distance(u: PairVector, v: PairVector) -> int:
     """Positionwise disagreement count of two raw pair sequences."""
-    if u.field != v.field:
-        raise ValueError("pair vectors from different fields")
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} vs {v.n}")
+    check_shape(u, v, "pair vectors")
     return sum(1 for a, b in zip(u.pairs, v.pairs) if a != b)
 
 
@@ -126,7 +116,7 @@ def run_count(x: RingElement, y: RingElement) -> RunProfile:
     Runs are cyclic: indices n-1 and 0 are consecutive.  Full support is
     a single run by convention (the wrap makes all of Z_n one block).
     """
-    _check_same_shape(x, y)
+    check_shape(x, y, "words")
     n = x.n
     support = frozenset(i for i in range(n) if x.coeffs[i] != y.coeffs[i])
     if not support:

@@ -5,6 +5,11 @@ Two value types with one coefficient convention (constant term first):
 * Poly normalizes away trailing zeros so degree queries are canonical.
 * RingElement keeps a fixed length n with explicit zeros, because
   codewords and channel vectors need positional semantics.
+
+Both are thin wrappers over plain coefficient sequences: one kernel,
+_convolve, does every product (Poly's without wrapping, RingElement's
+mod x^n - 1, and the fold of to_ring), and check_shape is the one
+same-field, same-length test, shared with the pair metrics.
 """
 
 from __future__ import annotations
@@ -45,34 +50,23 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compat(other)
-        fs = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = fs.add(out[j], c)
-        return Poly(fs, tuple(out))
+        pad = (0,) * (len(a) - len(b))
+        return Poly(self.field, tuple(self.field.add_vec(a, b + pad)))
 
     def __neg__(self) -> "Poly":
-        fs = self.field
-        return Poly(fs, tuple(fs.neg(c) for c in self.coeffs))
+        return Poly(self.field, tuple(map(self.field.neg, self.coeffs)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compat(other)
-        fs = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly(fs, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = fs.add(out[i + j], fs.mul(a, b))
-        return Poly(fs, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        size = len(a) + len(b) - 1
+        return Poly(self.field, tuple(_convolve(self.field, a, b, size)))
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder with deg(remainder) < deg(divisor)."""
@@ -98,11 +92,7 @@ class Poly:
         if n < 1:
             raise ValueError("ring length must be positive")
         fs = self.field
-        out = [0] * n
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[j % n] = fs.add(out[j % n], c)
-        return RingElement(fs, tuple(out))
+        return RingElement(fs, tuple(_convolve(fs, self.coeffs, (1,), n)))
 
 
 @dataclass(frozen=True)
@@ -128,27 +118,16 @@ class RingElement:
         """The unique representative of degree < n in F_q[x]."""
         return Poly(self.field, self.coeffs)
 
-    def _check_compat(self, other: "RingElement"):
-        if self.field != other.field:
-            raise ValueError("ring elements from different fields")
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other: "RingElement") -> "RingElement":
-        self._check_compat(other)
+        check_shape(self, other, "ring elements")
         fs = self.field
         return RingElement(fs, tuple(fs.add_vec(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "RingElement":
-        fs = self.field
-        return RingElement(fs, tuple(fs.neg(a) for a in self.coeffs))
+        return RingElement(self.field, tuple(map(self.field.neg, self.coeffs)))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check_compat(other)
-        fs = self.field
-        return RingElement(
-            fs, tuple(fs.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def scale(self, s: int) -> "RingElement":
         fs = self.field
@@ -156,20 +135,9 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         """Cyclic convolution (multiplication mod x^n - 1)."""
-        self._check_compat(other)
+        check_shape(self, other, "ring elements")
         fs = self.field
-        add, mul = fs.add, fs.mul
-        n = self.n
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    k = i + j
-                    if k >= n:
-                        k -= n
-                    out[k] = add(out[k], mul(a, b))
-        return RingElement(fs, tuple(out))
+        return RingElement(fs, tuple(_convolve(fs, self.coeffs, other.coeffs, self.n)))
 
     def shift(self, s: int) -> "RingElement":
         """Cyclic shift: coefficient at j moves to (j + s) mod n."""
@@ -181,6 +149,27 @@ class RingElement:
         for j, c in enumerate(self.coeffs):
             out[(j + s) % n] = c
         return RingElement(self.field, tuple(out))
+
+
+def _convolve(field: Field, a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The n coefficients of sum a_i b_j x^((i + j) mod n), over the nonzero b_j."""
+    add, mul = field.add, field.mul
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, c in terms:
+                k = (i + j) % n
+                out[k] = add(out[k], mul(x, c))
+    return out
+
+
+def check_shape(a, b, what: str) -> None:
+    """Raise ValueError unless a and b (with .field and .n) share field and length."""
+    if a.field != b.field:
+        raise ValueError(f"{what} from different fields")
+    if a.n != b.n:
+        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
 
 
 def zero_ring_element(field: Field, n: int) -> RingElement:

@@ -51,6 +51,12 @@ def test_table_rejects_bad_parameters():
     assert proc.returncode == 2
     proc = run_cli("table", "--p", "3", "--e", "0", "--m", "1")
     assert proc.returncode == 2
+    # a negative e is refused before p**e is taken
+    for command in ("table", "mds", "verify"):
+        for p in ("2", "0"):
+            proc = run_cli(command, "--p", p, "--e", "-1", "--m", "1")
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:")
 
 
 def test_tsv_has_no_trailing_whitespace_and_lf_endings():

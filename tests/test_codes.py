@@ -14,7 +14,7 @@ from paircodes.codes import (
     is_mds_pair,
     pair_branch,
 )
-from paircodes.gf import build_field
+from paircodes.gf import Field, build_field
 from paircodes.pairmetrics import pair_weight
 from paircodes.polyring import Poly, ring_one, vector, zero_ring_element
 
@@ -31,6 +31,15 @@ def test_code_spec_validation_and_derived():
         CodeSpec(3, 1, 2, 10)
     with pytest.raises(ValueError):
         CodeSpec(3, 0, 2, 1)
+    # check takes F_{p^m} under any modulus, and the length p^e when given
+    spec = CodeSpec(3, 2, 1, 1)
+    assert spec.check(build_field(3, 2), 3) == build_field(3, 2)
+    assert spec.check(Field(3, 2, (2, 1, 1))) == Field(3, 2, (2, 1, 1))
+    for field in (build_field(3, 1), build_field(2, 2), build_field(3, 3)):
+        with pytest.raises(ValueError, match="does not match"):
+            spec.check(field)
+    with pytest.raises(ValueError, match="length mismatch: 9 vs 3"):
+        spec.check(build_field(3, 2), 9)
 
 
 def test_generator_examples():
@@ -53,6 +62,8 @@ def test_encode_rejects_large_messages():
     fs = spec.field()
     with pytest.raises(ValueError):
         encode(spec, Poly(fs, (0, 0, 1)))
+    with pytest.raises(ValueError):  # a message over F_9 for a code over F_3
+        encode(spec, Poly(build_field(3, 2), (1,)))
 
 
 def test_encode_injective_exhaustive():
@@ -76,6 +87,8 @@ def test_contains_examples():
         assert not contains(CodeSpec(3, 1, 2, i), one)
     with pytest.raises(ValueError):
         contains(spec, vector(fs, (1, 0)))
+    with pytest.raises(ValueError):
+        contains(spec, zero_ring_element(build_field(3, 2), 9))
 
 
 def _taylor_zeros(v):
@@ -131,6 +144,8 @@ def test_distance_table_columns():
     assert [r.d_pair for r in distance_table(2, 4, 1)] == [
         2, 3, 4, 4, 4, 4, 4, 4, 4, 6, 8, 8, 8, 12, 16, 16, 0,
     ]
+    with pytest.raises(ValueError):
+        distance_table(2, -1, 1)
 
 
 def test_distance_table_is_independent_of_m():

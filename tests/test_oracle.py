@@ -177,6 +177,23 @@ def test_verify_family_budget_skips():
             assert entry.oracle_d_pair is None and entry.witness is None
 
 
+def test_oracle_rejects_a_field_that_does_not_fit_the_code():
+    gf4 = build_field(2, 2)
+    spec = CodeSpec(2, 1, 2, 1)
+    with pytest.raises(ValueError):
+        next(enumerate_codewords(spec, field=gf4))
+    with pytest.raises(ValueError):
+        min_pair_weight_bruteforce(spec, field=gf4)
+    with pytest.raises(ValueError):
+        min_hamming_weight_bruteforce(spec, field=gf4)
+    with pytest.raises(ValueError):
+        verify_family(2, 2, 1, field=gf4)
+    # a non-canonical modulus of the right field still passes
+    report = verify_family(3, 1, 2, field=Field(3, 2, (2, 1, 1)))
+    assert report.verdict == "all-match"
+    assert report.entries[1].witness.field == Field(3, 2, (2, 1, 1))
+
+
 def test_verify_family_deterministic():
     a = verify_family(3, 2, 1)
     b = verify_family(3, 2, 1)
