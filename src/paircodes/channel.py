@@ -22,11 +22,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import CodeSpec, digit_vectors
+from .codes import CodeSpec, digit_vectors, generator
 from .gf import Field
 from .oracle import BudgetExhausted, EnumBudget
 from .pairmetrics import PairVector, pair_read
-from .polyring import RingElement
+from .polyring import RingElement, _convolve
 
 
 @dataclass(frozen=True)
@@ -81,33 +81,32 @@ def inject_pair_errors(
 class _Codebook:
     """Every codeword of a code, bit-sliced by position and symbol.
 
-    Bit j of planes[k][v] is set iff codeword j, the F_p-combination of
-    the digit vectors vecs with the base-p digits of j, has symbol v at
-    position k.  len() is the number of codewords, p ** len(vecs).
+    Bit j of planes[k][v] is set iff codeword j, encode(f) for the
+    message f whose coefficients are the base-q digits of j, has symbol v
+    at position k.  gen holds the generator's coefficients; len() is the
+    number of codewords.
     """
 
     # a plain class: a dataclass would add about 1 ms to every import
-    __slots__ = ("planes", "vecs", "field")
+    __slots__ = ("planes", "gen", "field", "size")
 
-    def __init__(self, planes: tuple[tuple[int, ...], ...], vecs: list, field: Field):
+    def __init__(self, planes: tuple, gen: tuple[int, ...], field: Field, size: int):
         self.planes = planes
-        self.vecs = vecs
+        self.gen = gen
         self.field = field
+        self.size = size
 
     def __len__(self) -> int:
-        return self.field.p ** len(self.vecs)
+        return self.size
 
     def word(self, j: int) -> tuple[int, ...]:
-        """Coefficients of codeword j: its base-p digits times the digit vectors."""
-        p, add_vec, mul = self.field.p, self.field.add_vec, self.field.mul
-        word = [0] * len(self.planes)
-        for gamma in self.vecs:
-            if not j:
-                break
-            j, a = divmod(j, p)
-            if a:
-                word = add_vec(word, gamma if a == 1 else [mul(a, c) for c in gamma])
-        return tuple(word)
+        """Coefficients of codeword j: its base-q digits times the generator."""
+        q = self.field.q
+        message = []
+        while j:
+            j, a = divmod(j, q)
+            message.append(a)
+        return tuple(_convolve(self.field, message, self.gen, len(self.planes)))
 
 
 @lru_cache(maxsize=8)
@@ -134,7 +133,7 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
             by_symbol = _add_digit(by_symbol, span, p, gamma[k] // unit, unit)
             span *= p
         planes.append(tuple(by_symbol))
-    return _Codebook(tuple(planes), vecs, field)
+    return _Codebook(tuple(planes), generator(spec, field).coeffs, field, spec.size)
 
 
 def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> list[int]:

@@ -1,11 +1,16 @@
 """Command-line surface: distance tables, verification, metrics, MDS
 listing, and pair-error channel experiments.
 
+table, verify and mds print library records (codes.DistanceRecord,
+oracle.FamilyEntry) as rows: each command names its columns once, and
+_rows reads those attributes, writing a word as c_0,...,c_{n-1}.
+
 Exit codes: 0 success / all-match; 1 mismatch or guarantee violation;
 2 usage or input error; 3 incomplete verification (budget skips) or a
 simulate codebook over --max-enum words or 64 * --max-enum plane bits.
-Input errors are the library's ValueErrors: main alone catches them and
-prints "error: <message>" on stderr.  tsv and json outputs are
+Input errors are the library's ValueErrors and budget overruns its
+BudgetExhausted: main alone catches them and prints "error: <message>"
+or "incomplete: <message>" on stderr.  tsv and json outputs are
 byte-deterministic for identical arguments.
 """
 
@@ -16,12 +21,7 @@ import json
 import sys
 
 from .channel import correctability_experiment
-from .codes import (
-    CodeSpec,
-    closed_form_pair_distance,
-    distance_table,
-    is_mds_pair,
-)
+from .codes import CodeSpec, closed_form_pair_distance, distance_table
 from .gf import Field, build_field
 from .oracle import BudgetExhausted, EnumBudget, verify_family
 from .pairmetrics import (
@@ -38,6 +38,16 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
+VERDICT_EXIT = {
+    "all-match": EXIT_OK, "mismatch": EXIT_MISMATCH, "incomplete": EXIT_INCOMPLETE,
+}
+
+TABLE_COLUMNS = ("i", "dimension", "d_hamming", "d_pair", "branch", "mds_pair")
+VERIFY_COLUMNS = (
+    "i", "dimension", "formula_d_hamming", "oracle_d_hamming",
+    "formula_d_pair", "oracle_d_pair", "witness", "status",
+)
+MDS_COLUMNS = ("i", "dimension", "d_pair")
 
 
 def _fmt_cell(value) -> str:
@@ -93,25 +103,19 @@ def _vector_from_args(field: Field, text: str, what: str) -> RingElement:
     return RingElement(field, tuple(_parse_int_list(text, what)))
 
 
-def _witness_str(witness) -> str | None:
-    if witness is None:
-        return None
-    return ",".join(str(c) for c in witness.coeffs)
+def _word(value):
+    """A RingElement as c_0,...,c_{n-1}; any other value as it is."""
+    return ",".join(map(str, value.coeffs)) if isinstance(value, RingElement) else value
+
+
+def _rows(records, columns: tuple[str, ...]) -> list[dict]:
+    """One dict per record of its attributes named in columns."""
+    return [{c: _word(getattr(rec, c)) for c in columns} for rec in records]
 
 
 def cmd_table(args, out) -> int:
-    records = [
-        {
-            "i": rec.i,
-            "dimension": rec.dimension,
-            "d_hamming": rec.d_hamming,
-            "d_pair": rec.d_pair,
-            "branch": rec.branch,
-            "mds_pair": rec.mds_pair,
-        }
-        for rec in distance_table(args.p, args.e, args.m)
-    ]
-    _emit(records, args.format, out)
+    records = distance_table(args.p, args.e, args.m)
+    _emit(_rows(records, TABLE_COLUMNS), args.format, out)
     return EXIT_OK
 
 
@@ -119,27 +123,10 @@ def cmd_verify(args, out) -> int:
     field = _field_from_args(args)
     budget = EnumBudget(max_codewords=args.max_enum)
     report = verify_family(args.p, args.e, args.m, budget, field)
-    records = [
-        {
-            "i": entry.i,
-            "dimension": entry.dimension,
-            "formula_d_hamming": entry.formula_d_hamming,
-            "oracle_d_hamming": entry.oracle_d_hamming,
-            "formula_d_pair": entry.formula_d_pair,
-            "oracle_d_pair": entry.oracle_d_pair,
-            "witness": _witness_str(entry.witness),
-            "status": entry.status,
-        }
-        for entry in report.entries
-    ]
-    _emit(records, args.format, out)
+    _emit(_rows(report.entries, VERIFY_COLUMNS), args.format, out)
     if args.format == "pretty":
         out.write(f"verdict: {report.verdict}\n")
-    if report.verdict == "mismatch":
-        return EXIT_MISMATCH
-    if report.verdict == "incomplete":
-        return EXIT_INCOMPLETE
-    return EXIT_OK
+    return VERDICT_EXIT[report.verdict]
 
 
 def cmd_weight(args, out) -> int:
@@ -186,12 +173,8 @@ def cmd_pairdist(args, out) -> int:
 
 
 def cmd_mds(args, out) -> int:
-    records = []
-    for i in range(CodeSpec(args.p, args.m, args.e, 0).n):
-        spec = CodeSpec(args.p, args.m, args.e, i)
-        if is_mds_pair(spec):
-            records.append({"i": i, "dimension": spec.dimension, "d_pair": i + 2})
-    _emit(records, args.format, out)
+    records = [rec for rec in distance_table(args.p, args.e, args.m) if rec.mds_pair]
+    _emit(_rows(records, MDS_COLUMNS), args.format, out)
     return EXIT_OK
 
 
@@ -199,31 +182,16 @@ def cmd_simulate(args, out) -> int:
     spec = CodeSpec(args.p, args.m, args.e, args.i)
     d_p = closed_form_pair_distance(spec)
     budget = EnumBudget(max_codewords=args.max_enum)
-    try:
-        rate, outcomes = correctability_experiment(
-            spec, args.t, args.trials, args.seed, budget
-        )
-    except BudgetExhausted as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    rate, outcomes = correctability_experiment(
+        spec, args.t, args.trials, args.seed, budget
+    )
     guarantee_t = (d_p - 1) // 2
     successes = sum(1 for o in outcomes if o.success)
-    records = [
-        {
-            "p": args.p,
-            "e": args.e,
-            "m": args.m,
-            "i": args.i,
-            "t": args.t,
-            "trials": args.trials,
-            "seed": args.seed,
-            "d_pair": d_p,
-            "max_guaranteed_t": guarantee_t,
-            "successes": successes,
-            "success_rate": rate,
-        }
-    ]
-    _emit(records, args.format, out)
+    record = {f: getattr(args, f) for f in ("p", "e", "m", "i", "t", "trials", "seed")}
+    record.update(
+        d_pair=d_p, max_guaranteed_t=guarantee_t, successes=successes, success_rate=rate
+    )
+    _emit([record], args.format, out)
     if args.t <= guarantee_t and successes < args.trials:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -253,47 +221,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *ints):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
+        for flag in ints:
+            p.add_argument(f"--{flag}", type=int, required=True)
         return p
 
-    p_table = add("table", cmd_table, "closed-form distance table for all i")
-    p_table.add_argument("--p", type=int, required=True)
-    p_table.add_argument("--e", type=int, required=True)
-    p_table.add_argument("--m", type=int, required=True)
+    add("table", cmd_table, "closed-form distance table for all i", "p", "e", "m")
 
-    p_verify = add("verify", cmd_verify, "closed forms vs brute-force oracle")
-    p_verify.add_argument("--p", type=int, required=True)
-    p_verify.add_argument("--e", type=int, required=True)
-    p_verify.add_argument("--m", type=int, required=True)
+    p_verify = add(
+        "verify", cmd_verify, "closed forms vs brute-force oracle", "p", "e", "m"
+    )
     p_verify.add_argument("--max-enum", type=int, default=10_000_000)
     p_verify.add_argument("--modulus", help="override modulus c_0,...,c_m")
 
-    p_weight = add("weight", cmd_weight, "Hamming/pair weight and pair read")
-    p_weight.add_argument("--p", type=int, required=True)
-    p_weight.add_argument("--m", type=int, required=True)
+    p_weight = add("weight", cmd_weight, "Hamming/pair weight and pair read", "p", "m")
     p_weight.add_argument("--vector", required=True)
     p_weight.add_argument("--modulus", help="override modulus c_0,...,c_m")
 
-    p_pd = add("pairdist", cmd_pairdist, "distances between two words")
-    p_pd.add_argument("--p", type=int, required=True)
-    p_pd.add_argument("--m", type=int, required=True)
+    p_pd = add("pairdist", cmd_pairdist, "distances between two words", "p", "m")
     p_pd.add_argument("--x", required=True)
     p_pd.add_argument("--y", required=True)
     p_pd.add_argument("--modulus", help="override modulus c_0,...,c_m")
 
-    p_mds = add("mds", cmd_mds, "generator exponents of MDS symbol-pair codes")
-    p_mds.add_argument("--p", type=int, required=True)
-    p_mds.add_argument("--e", type=int, required=True)
-    p_mds.add_argument("--m", type=int, required=True)
+    add("mds", cmd_mds, "generator exponents of MDS symbol-pair codes", "p", "e", "m")
 
-    p_sim = add("simulate", cmd_simulate, "seeded pair-error decoding trials")
-    p_sim.add_argument("--p", type=int, required=True)
-    p_sim.add_argument("--e", type=int, required=True)
-    p_sim.add_argument("--m", type=int, required=True)
-    p_sim.add_argument("--i", type=int, required=True)
-    p_sim.add_argument("--t", type=int, required=True)
+    p_sim = add(
+        "simulate", cmd_simulate, "seeded pair-error decoding trials",
+        "p", "e", "m", "i", "t",
+    )
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument(
@@ -314,6 +271,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExhausted as exc:
+        print(f"incomplete: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
 
 
 if __name__ == "__main__":

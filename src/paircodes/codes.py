@@ -75,14 +75,11 @@ class DistanceRecord:
     d_pair: int
     branch: str
     mds_pair: bool
-    verified: str | None = None
 
 
 def generator(spec: CodeSpec, field: Field | None = None) -> RingElement:
     """The generator (x - 1)^i as a length-n vector."""
-    if field is None:
-        field = spec.field()
-    return x_minus_one_power(field, spec.i, spec.n)
+    return x_minus_one_power(spec.check(field or spec.field()), spec.i, spec.n)
 
 
 def digit_vectors(spec: CodeSpec, field: Field) -> list[tuple[int, ...]]:
@@ -250,7 +247,7 @@ def is_mds_pair(spec: CodeSpec) -> bool:
 
 
 def distance_table(p: int, e: int, m: int) -> list[DistanceRecord]:
-    """Closed-form records for every i in [0, p^e]; `verified` left unset."""
+    """Closed-form records for every i in [0, p^e]."""
     records = []
     for i in range(CodeSpec(p, m, e, 0).n + 1):
         spec = CodeSpec(p, m, e, i)

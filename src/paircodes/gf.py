@@ -23,8 +23,8 @@ add_vec use in place of _zech (add_vec for m = 1 too).
 That is 7q + O(1) entries, never q^2, so any field whose elements can be
 listed fits.  The tables are built once per instance on first use (the
 first read of a missing slot lands in __getattr__), not at import nor in
-build_field, and __reduce__ leaves them out.  The base-p digit loops
-(_digit_add, _digit_mul) only fill them.
+build_field, and __reduce__ leaves them out.  The base-p digit loop
+_digit_mul only fills _exp; _log, _zech and _neg are read off it.
 """
 
 from __future__ import annotations
@@ -96,18 +96,6 @@ def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     return True
 
 
-def _digit_add(p: int, a: int, b: int) -> int:
-    # digitwise sum mod p of two encodings
-    r = 0
-    pw = 1
-    while a or b:
-        r += ((a + b) % p) * pw
-        a //= p
-        b //= p
-        pw *= p
-    return r
-
-
 def _digit_mul(p: int, modulus: Sequence[int], a: int, b: int) -> int:
     # schoolbook product of the digit polynomials, reduced by the modulus
     m = len(modulus) - 1
@@ -137,8 +125,8 @@ def _tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
     for k, a in enumerate(powers):
         log[a] = k
     exp = powers + powers + [0] * (2 * big_q + 1)
-    zech = [log[_digit_add(p, 1, a)] for a in powers]
-    neg = [_digit_mul(p, modulus, a, p - 1) for a in range(q)]
+    zech = [log[a - a % p + (a + 1) % p] for a in powers]  # 1 + a: constant digit + 1
+    neg = [exp[log[a] + log[p - 1]] for a in range(q)]  # a * (-1); log[0] reads a 0
     return exp, log, zech, neg
 
 

@@ -266,15 +266,14 @@ def verify_family(
     """Compare both closed forms against both oracles for every i.
 
     Entries whose enumeration exceeds the budget are marked skipped,
-    never silently trusted; the verdict is "incomplete" when any entry
-    was skipped and "mismatch" as soon as one disagrees.
+    never silently trusted.  The verdict is read off the entry statuses:
+    "mismatch" if any entry disagrees, even beside skips, else
+    "incomplete" if any was skipped, else "all-match".
     """
     family = CodeSpec(p, m, e, 0)  # validates p, m and e before the loop
     field = family.check(field or family.field())
     budget = budget or EnumBudget()
     entries = []
-    any_mismatch = False
-    any_skip = False
     # minima certified for a row bound those of every later row, a subcode;
     # skips (space shrinks with i) only come before the first certified row
     known = (0, 0)
@@ -285,15 +284,12 @@ def verify_family(
         try:
             res = _scan_min_weights(spec, budget, field, known)
         except BudgetExhausted:
-            any_skip = True
             entries.append(
                 FamilyEntry(i, spec.dimension, f_dh, None, f_dp, None, None, "skipped")
             )
             continue
         known = (res.min_hamming, res.min_pair)
         ok = res.min_hamming == f_dh and res.min_pair == f_dp
-        if not ok:
-            any_mismatch = True
         entries.append(
             FamilyEntry(
                 i,
@@ -306,9 +302,10 @@ def verify_family(
                 "match" if ok else "mismatch",
             )
         )
-    if any_mismatch:
+    statuses = {entry.status for entry in entries}
+    if "mismatch" in statuses:
         verdict = "mismatch"
-    elif any_skip:
+    elif "skipped" in statuses:
         verdict = "incomplete"
     else:
         verdict = "all-match"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from paircodes.codes import (
     closed_form_hamming_distance,
     closed_form_pair_distance,
     contains,
+    digit_vectors,
     distance_table,
     encode,
     generator,
@@ -14,6 +16,7 @@ from paircodes.codes import (
     is_mds_pair,
     pair_branch,
 )
+from paircodes.cli import TABLE_COLUMNS
 from paircodes.gf import Field, build_field
 from paircodes.pairmetrics import pair_weight
 from paircodes.polyring import Poly, ring_one, vector, zero_ring_element
@@ -46,6 +49,18 @@ def test_generator_examples():
     assert generator(CodeSpec(3, 1, 2, 0)).coeffs == ring_one(build_field(3, 1), 9).coeffs
     assert generator(CodeSpec(3, 1, 2, 9)).is_zero()
     assert generator(CodeSpec(3, 1, 2, 8)).coeffs == (1,) * 9
+
+
+def test_generator_rejects_a_field_that_does_not_fit_the_code():
+    spec = CodeSpec(2, 1, 2, 1)
+    for field in (build_field(2, 2), build_field(3, 1)):
+        with pytest.raises(ValueError, match="does not match"):
+            generator(spec, field)
+        with pytest.raises(ValueError, match="does not match"):
+            digit_vectors(spec, field)
+    # any modulus of F_{p^m} fits
+    assert generator(CodeSpec(3, 2, 1, 1), Field(3, 2, (2, 1, 1))).coeffs == (2, 1, 0)
+    assert len(digit_vectors(spec, build_field(2, 1))) == 3
 
 
 def test_encode_examples():
@@ -248,4 +263,4 @@ def test_distance_record_fields():
     assert (rec.i, rec.dimension, rec.d_hamming, rec.d_pair) == (4, 5, 3, 6)
     assert rec.branch == "2(beta+2)[beta=1]"
     assert rec.mds_pair is True
-    assert rec.verified is None
+    assert tuple(f.name for f in dataclasses.fields(rec)) == TABLE_COLUMNS

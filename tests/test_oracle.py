@@ -4,10 +4,12 @@ import pytest
 
 from test_acceptance import FAMILY_GRID
 
+from paircodes import cli, oracle
 from paircodes.codes import (
     CodeSpec,
     _hamming_branches,
     _pair_branches,
+    closed_form_pair_distance,
     contains,
     encode,
     hamming_branch,
@@ -175,6 +177,25 @@ def test_verify_family_budget_skips():
     for entry in report.entries:
         if entry.status == "skipped":
             assert entry.oracle_d_pair is None and entry.witness is None
+
+
+def test_a_wrong_closed_form_is_a_mismatch(monkeypatch, capsys):
+    # the pair closed form off by one at (3,2,1), i = 6 (true d_p = 6)
+    def wrong(spec):
+        return closed_form_pair_distance(spec) + ((spec.p, spec.e, spec.i) == (3, 2, 6))
+
+    monkeypatch.setattr(oracle, "closed_form_pair_distance", wrong)
+    # under a budget of 100 words, rows 0..4 (121 words and more) are skipped
+    for budget, skipped in ((None, set()), (EnumBudget(100), {0, 1, 2, 3, 4})):
+        report = verify_family(3, 2, 1, budget)
+        assert report.verdict == "mismatch"
+        status = {entry.i: entry.status for entry in report.entries}
+        assert {i for i, s in status.items() if s == "mismatch"} == {6}
+        assert {i for i, s in status.items() if s == "skipped"} == skipped
+        assert report.entries[6].formula_d_pair == 7
+        assert report.entries[6].oracle_d_pair == 6
+    assert cli.main(["verify", "--p", "3", "--e", "2", "--m", "1"]) == 1
+    assert capsys.readouterr().out.endswith("verdict: mismatch\n")
 
 
 def test_oracle_rejects_a_field_that_does_not_fit_the_code():
