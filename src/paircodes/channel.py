@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .codes import CodeSpec, digit_vectors, generator
 from .gf import Field
-from .oracle import BudgetExhausted, EnumBudget
+from .oracle import BudgetExhausted, EnumBudget, _count_text
 from .pairmetrics import PairVector, pair_read
 from .polyring import RingElement, _convolve
 
@@ -113,13 +113,14 @@ class _Codebook:
 def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
     if spec.size > max_codewords:
         raise BudgetExhausted(
-            f"codebook of {spec.size} codewords exceeds the budget of {max_codewords}",
+            f"codebook of {_count_text(spec.size)} codewords exceeds the budget"
+            f" of {max_codewords}",
             space=spec.size,
         )
     bits = spec.size * spec.n * spec.q
     if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
         raise BudgetExhausted(
-            f"codebook of {spec.size} codewords needs {bits} plane bits,"
+            f"codebook of {spec.size} codewords needs {_count_text(bits)} plane bits,"
             f" over the budget of {64 * max_codewords}",
             space=spec.size,
         )

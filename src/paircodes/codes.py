@@ -233,6 +233,11 @@ def closed_form_pair_distance(spec: CodeSpec) -> int:
     return pair_branch(spec)[0]
 
 
+def _meets_singleton(d_pair: int, i: int) -> bool:
+    """The pair-metric Singleton equality d_p = i + 2 (false for the zero code)."""
+    return d_pair == i + 2
+
+
 def is_mds_pair(spec: CodeSpec) -> bool:
     """Whether C_i meets the pair-metric Singleton bound with equality.
 
@@ -243,7 +248,7 @@ def is_mds_pair(spec: CodeSpec) -> bool:
     """
     if spec.i == spec.n:
         raise ValueError("the zero code is excluded from MDS classification")
-    return closed_form_pair_distance(spec) == spec.i + 2
+    return _meets_singleton(pair_branch(spec)[0], spec.i)
 
 
 def distance_table(p: int, e: int, m: int) -> list[DistanceRecord]:
@@ -253,15 +258,6 @@ def distance_table(p: int, e: int, m: int) -> list[DistanceRecord]:
         spec = CodeSpec(p, m, e, i)
         d_h = closed_form_hamming_distance(spec)
         d_p, branch = pair_branch(spec)
-        mds = False if i == spec.n else is_mds_pair(spec)
-        records.append(
-            DistanceRecord(
-                i=i,
-                dimension=spec.dimension,
-                d_hamming=d_h,
-                d_pair=d_p,
-                branch=branch,
-                mds_pair=mds,
-            )
-        )
+        mds = _meets_singleton(d_p, i)
+        records.append(DistanceRecord(i, spec.dimension, d_h, d_p, branch, mds))
     return records

@@ -39,13 +39,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .gf import Field
-from .codes import (
-    CodeSpec,
-    closed_form_hamming_distance,
-    closed_form_pair_distance,
-    digit_vectors,
-)
-from .pairmetrics import hamming_distance, pair_count, pair_distance, run_count
+from .codes import CodeSpec, digit_vectors, distance_table
+from .pairmetrics import block_count, disagreement, pair_count
 from .polyring import RingElement
 
 
@@ -71,6 +66,18 @@ class BudgetExhausted(RuntimeError):
         super().__init__(message)
         self.scanned = scanned
         self.space = space
+
+
+# CPython refuses str() of an int over 4300 digits by default; counts of
+# codewords reach that (2^16384 for (2,14,1) at i = 0)
+_PRINTABLE = 10**4300
+
+
+def _count_text(count: int) -> str:
+    """count in decimal, or as the true "at least 2^k" past 4300 digits."""
+    if count < _PRINTABLE:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
 
 
 @dataclass(frozen=True)
@@ -204,8 +211,8 @@ def _scan_min_weights(
     space = codeword_class_count(spec, budget.reduce_by_scalars)
     if space > budget.max_codewords:
         raise BudgetExhausted(
-            f"{space} codewords exceed the budget of {budget.max_codewords}",
-            scanned=0,
+            f"{_count_text(space)} codewords exceed the budget of"
+            f" {budget.max_codewords}",
             space=space,
         )
     lb_h = max(known[0], 2 if spec.i else 1, spec.i + 1 if spec.e == 1 else 0)
@@ -277,29 +284,19 @@ def verify_family(
     # minima certified for a row bound those of every later row, a subcode;
     # skips (space shrinks with i) only come before the first certified row
     known = (0, 0)
-    for i in range(family.n + 1):
-        spec = CodeSpec(p, m, e, i)
-        f_dh = closed_form_hamming_distance(spec)
-        f_dp = closed_form_pair_distance(spec)
+    for row in distance_table(p, e, m):
         try:
-            res = _scan_min_weights(spec, budget, field, known)
+            res = _scan_min_weights(CodeSpec(p, m, e, row.i), budget, field, known)
         except BudgetExhausted:
-            entries.append(
-                FamilyEntry(i, spec.dimension, f_dh, None, f_dp, None, None, "skipped")
-            )
-            continue
-        known = (res.min_hamming, res.min_pair)
-        ok = res.min_hamming == f_dh and res.min_pair == f_dp
+            found, witness, status = (None, None), None, "skipped"
+        else:
+            known = found = (res.min_hamming, res.min_pair)
+            witness = RingElement(field, res.pair_witness)
+            status = "match" if found == (row.d_hamming, row.d_pair) else "mismatch"
         entries.append(
             FamilyEntry(
-                i,
-                spec.dimension,
-                f_dh,
-                res.min_hamming,
-                f_dp,
-                res.min_pair,
-                RingElement(field, res.pair_witness),
-                "match" if ok else "mismatch",
+                row.i, row.dimension, row.d_hamming, found[0], row.d_pair, found[1],
+                witness, status,
             )
         )
     statuses = {entry.status for entry in entries}
@@ -327,17 +324,16 @@ def verify_run_identity(
     stay under 2^20), else a seeded random sample.  Pairs with d_H = n
     are checked for d_p = n instead; d_H = 0 pairs are out of scope.
     """
+    if n < 2:
+        raise ValueError("pair distance needs length >= 2")
     q = field.q
     if samples is None:
         if q ** (2 * n) > _EXHAUSTIVE_PAIR_LIMIT:
             raise ValueError(
                 "exhaustive mode needs q^(2n) <= 2^20; use sampled mode"
             )
-        words = [
-            RingElement(field, t)
-            for t in itertools.product(field.elements(), repeat=n)
-        ]
-        pair_iter = itertools.product(words, words)
+        words = list(itertools.product(range(q), repeat=n))
+        pair_iter = itertools.product(words, repeat=2)
         mode = "exhaustive"
     else:
         if seed is None:
@@ -346,34 +342,29 @@ def verify_run_identity(
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         rng = random.Random(seed)
 
-        def _sampled():
-            for _ in range(samples):
-                x = RingElement(field, tuple(rng.randrange(q) for _ in range(n)))
-                y = RingElement(field, tuple(rng.randrange(q) for _ in range(n)))
-                yield x, y
+        def draw():
+            return tuple(rng.randrange(q) for _ in range(n))
 
-        pair_iter = _sampled()
+        # x is drawn before y: the seeded sample depends on this order
+        pair_iter = ((draw(), draw()) for _ in range(samples))
         mode = f"sample({samples},{seed})"
 
     checked = 0
     full_support = 0
     violations = []
     for x, y in pair_iter:
-        d_h = hamming_distance(x, y)
+        mask = disagreement(x, y)
+        d_h = sum(mask)
         if d_h == 0:
             continue
-        d_p = pair_distance(x, y)
-        if d_h == n:
+        d_p = pair_count(mask)
+        if d_h == n:  # full support: d_p = n, and no block count applies
             full_support += 1
-            if d_p != n:
-                violations.append(
-                    IdentityViolation(x.coeffs, y.coeffs, d_h, -1, d_p)
-                )
-            continue
-        checked += 1
-        blocks = run_count(x, y).block_count
-        if d_p != d_h + blocks:
-            violations.append(
-                IdentityViolation(x.coeffs, y.coeffs, d_h, blocks, d_p)
-            )
+            blocks, expected = -1, n
+        else:
+            checked += 1
+            blocks = block_count(mask)
+            expected = d_h + blocks
+        if d_p != expected:
+            violations.append(IdentityViolation(x, y, d_h, blocks, d_p))
     return IdentityReport(q, n, mode, checked, full_support, tuple(violations))

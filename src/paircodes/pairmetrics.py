@@ -8,7 +8,9 @@ differ.  For 0 < d_H(x, y) < n the two metrics are linked exactly by
     d_p(x, y) = d_H(x, y) + L,
 
 where L is the number of maximal cyclically-consecutive blocks in the
-disagreement set (run_count below).
+disagreement set.  Every comparison of two words reads one kernel on
+plain sequences: disagreement gives the mask of differing positions,
+whose count is d_H, whose pair_count is d_p and whose block_count is L.
 """
 
 from __future__ import annotations
@@ -91,9 +93,20 @@ def pair_weight(x: RingElement) -> int:
     return pair_count(x.coeffs)
 
 
+def disagreement(x: Sequence, y: Sequence) -> list[bool]:
+    """The mask of positions where plain sequences x and y differ."""
+    return [a != b for a, b in zip(x, y)]
+
+
+def block_count(mask: Sequence) -> int:
+    """Maximal cyclic runs of true entries in a mask, counted as run_count does."""
+    starts = sum(1 for k, cur in enumerate(mask) if cur and not mask[k - 1])
+    return starts or int(bool(mask[0]))  # no run starts: all false or all true
+
+
 def hamming_distance(x: RingElement, y: RingElement) -> int:
     check_shape(x, y, "words")
-    return sum(1 for a, b in zip(x.coeffs, y.coeffs) if a != b)
+    return sum(disagreement(x.coeffs, y.coeffs))
 
 
 def pair_distance(x: RingElement, y: RingElement) -> int:
@@ -101,7 +114,7 @@ def pair_distance(x: RingElement, y: RingElement) -> int:
     check_shape(x, y, "words")
     if x.n < 2:
         raise ValueError("pair distance needs length >= 2")
-    return pair_count([a != b for a, b in zip(x.coeffs, y.coeffs)])
+    return pair_count(disagreement(x.coeffs, y.coeffs))
 
 
 def pair_seq_distance(u: PairVector, v: PairVector) -> int:
@@ -117,11 +130,6 @@ def run_count(x: RingElement, y: RingElement) -> RunProfile:
     a single run by convention (the wrap makes all of Z_n one block).
     """
     check_shape(x, y, "words")
-    n = x.n
-    support = frozenset(i for i in range(n) if x.coeffs[i] != y.coeffs[i])
-    if not support:
-        return RunProfile(support, 0)
-    if len(support) == n:
-        return RunProfile(support, 1)
-    blocks = sum(1 for i in support if (i - 1) % n not in support)
-    return RunProfile(support, blocks)
+    mask = disagreement(x.coeffs, y.coeffs)
+    support = frozenset(i for i, differs in enumerate(mask) if differs)
+    return RunProfile(support, block_count(mask))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from paircodes import channel
+from paircodes import channel, cli
 from paircodes.codes import CodeSpec
 from paircodes.oracle import BudgetExhausted, EnumBudget
 
@@ -132,6 +132,32 @@ def test_simulate_bit_budget_exit_three():
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # refused before any plane is built
+
+
+def test_verify_count_too_long_to_print_is_incomplete():
+    # (2,14,1) at i = 0 scans 2^16384 - 1 words, a count of 4,933 digits,
+    # over the 4,300 that str() of an int allows by default
+    proc = run_cli(
+        "verify", "--p", "2", "--e", "14", "--m", "1", "--max-enum", "1",
+        "--format", "tsv",
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    status = [row.rsplit("\t", 1)[1] for row in proc.stdout.splitlines()[1:]]
+    assert status == ["skipped"] * 16383 + ["match"] * 2
+
+
+def test_simulate_count_too_long_to_print_is_incomplete():
+    proc = run_cli(
+        "simulate", "--p", "2", "--e", "14", "--m", "1", "--i", "0", "--t", "1",
+        "--trials", "1", "--seed", "1",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "incomplete: codebook of at least 2^16384 codewords exceeds the budget"
+        " of 10000000\n"
+    )
 
 
 def test_verify_byte_deterministic():
@@ -284,6 +310,18 @@ def test_simulate_largest_default_binary_book():
         "-  -  -  -  -  ------  ----  ------  ----------------  ---------  ------------\n"
         "2  5  1  9  1  2       1     4       1                 2          1.0\n"
     )
+
+
+def test_simulate_guarantee_violation_exit_one(monkeypatch, capsys):
+    # a decoder that reports a tie on every read fails trials within t <= 2
+    monkeypatch.setattr(channel, "decode_min_pair_distance", lambda *args: None)
+    argv = [
+        "simulate", "--p", "3", "--e", "2", "--m", "1", "--i", "4",
+        "--t", "1", "--trials", "3", "--seed", "7",
+    ]
+    assert cli.main(argv) == 1
+    header, _rule, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(), row.split()))["successes"] == "0"
 
 
 def test_simulate_requires_seed():

@@ -3,6 +3,8 @@ import itertools
 
 import pytest
 
+from test_acceptance import FAMILY_GRID
+
 from paircodes.codes import (
     CodeSpec,
     closed_form_hamming_distance,
@@ -251,6 +253,15 @@ def test_mds_pair_e_ge_2():
     for (p, e), want in expected.items():
         got = {i for i in range(p**e) if is_mds_pair(CodeSpec(p, 1, e, i))}
         assert got == want, (p, e, got)
+
+
+@pytest.mark.parametrize("p,e,m", FAMILY_GRID)
+def test_distance_table_mds_column_is_is_mds_pair(p, e, m):
+    *rows, zero_code = distance_table(p, e, m)
+    assert [r.mds_pair for r in rows] == [
+        is_mds_pair(CodeSpec(p, m, e, r.i)) for r in rows
+    ]
+    assert zero_code.i == p**e and not zero_code.mds_pair
 
 
 def test_mds_pair_rejects_zero_code():

@@ -1,15 +1,15 @@
+import itertools
 import re
 
 import pytest
 
 from test_acceptance import FAMILY_GRID
 
-from paircodes import cli, oracle
+from paircodes import cli, codes, oracle
 from paircodes.codes import (
     CodeSpec,
     _hamming_branches,
     _pair_branches,
-    closed_form_pair_distance,
     contains,
     encode,
     hamming_branch,
@@ -19,6 +19,8 @@ from paircodes.gf import Field, build_field
 from paircodes.oracle import (
     BudgetExhausted,
     EnumBudget,
+    IdentityViolation,
+    _count_text,
     _scan_min_weights,
     codeword_class_count,
     enumerate_codewords,
@@ -27,7 +29,7 @@ from paircodes.oracle import (
     verify_family,
     verify_run_identity,
 )
-from paircodes.pairmetrics import hamming_weight, pair_weight
+from paircodes.pairmetrics import hamming_weight, pair_count, pair_weight
 from paircodes.polyring import Poly
 
 
@@ -182,9 +184,10 @@ def test_verify_family_budget_skips():
 def test_a_wrong_closed_form_is_a_mismatch(monkeypatch, capsys):
     # the pair closed form off by one at (3,2,1), i = 6 (true d_p = 6)
     def wrong(spec):
-        return closed_form_pair_distance(spec) + ((spec.p, spec.e, spec.i) == (3, 2, 6))
+        d_p, branch = pair_branch(spec)
+        return d_p + ((spec.p, spec.e, spec.i) == (3, 2, 6)), branch
 
-    monkeypatch.setattr(oracle, "closed_form_pair_distance", wrong)
+    monkeypatch.setattr(codes, "pair_branch", wrong)
     # under a budget of 100 words, rows 0..4 (121 words and more) are skipped
     for budget, skipped in ((None, set()), (EnumBudget(100), {0, 1, 2, 3, 4})):
         report = verify_family(3, 2, 1, budget)
@@ -240,6 +243,23 @@ def test_run_identity_sampled():
     assert rep == again
 
 
+def test_run_identity_reports_every_violation(monkeypatch):
+    # d_p read one too high breaks d_p = d_H + L, and d_p = n at full
+    # support, on every ordered pair of distinct words
+    monkeypatch.setattr(oracle, "pair_count", lambda word: pair_count(word) + 1)
+    rep = verify_run_identity(build_field(2, 1), 4)
+    assert (rep.pairs_checked, rep.full_support_pairs) == (256 - 16 - 16, 16)
+    words = list(itertools.product(range(2), repeat=4))
+    assert [(v.x, v.y) for v in rep.violations] == [
+        (x, y) for x in words for y in words if x != y
+    ]
+    found = {(v.x, v.y): v for v in rep.violations}
+    # full support has no block count; positions 3, 0, 1 are one cyclic block
+    zero, ones, x = (0, 0, 0, 0), (1, 1, 1, 1), (1, 1, 0, 0)
+    assert found[zero, ones] == IdentityViolation(zero, ones, 4, -1, 5)
+    assert found[x, (0, 0, 0, 1)] == IdentityViolation(x, (0, 0, 0, 1), 3, 1, 5)
+
+
 def test_run_identity_guards():
     with pytest.raises(ValueError):
         verify_run_identity(build_field(2, 1), 11)  # 2^22 ordered pairs
@@ -248,6 +268,21 @@ def test_run_identity_guards():
     for samples in (0, -3):
         with pytest.raises(ValueError):
             verify_run_identity(build_field(2, 1), 30, samples=samples, seed=1)
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            verify_run_identity(build_field(2, 1), n)
+        with pytest.raises(ValueError):
+            verify_run_identity(build_field(2, 1), n, samples=10, seed=1)
+
+
+def test_counts_too_long_to_print_are_written_short():
+    assert _count_text(10**4300 - 1) == "9" * 4300
+    assert _count_text(10**4300) == "at least 2^14284"
+    spec = CodeSpec(2, 1, 14, 0)  # 2^16384 - 1 words to scan
+    with pytest.raises(BudgetExhausted) as err:
+        _scan_min_weights(spec, EnumBudget(max_codewords=1), spec.field())
+    assert str(err.value) == "at least 2^16383 codewords exceed the budget of 1"
+    assert err.value.space == 2**16384 - 1
 
 
 def test_enumeration_deterministic_with_extension_field():
