@@ -22,11 +22,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import CodeSpec, digit_vectors, generator
+from .codes import CodeSpec, digit_vectors
 from .gf import Field
 from .oracle import BudgetExhausted, EnumBudget, _count_text
 from .pairmetrics import PairVector, pair_read
-from .polyring import RingElement, _convolve
+from .polyring import RingElement, _mul_x_minus_one_power
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,16 @@ class _Codebook:
 
     Bit j of planes[k][v] is set iff codeword j, encode(f) for the
     message f whose coefficients are the base-q digits of j, has symbol v
-    at position k.  gen holds the generator's coefficients; len() is the
+    at position k.  i is the code's generator exponent; len() is the
     number of codewords.
     """
 
     # a plain class: a dataclass would add about 1 ms to every import
-    __slots__ = ("planes", "gen", "field", "size")
+    __slots__ = ("planes", "i", "field", "size")
 
-    def __init__(self, planes: tuple, gen: tuple[int, ...], field: Field, size: int):
+    def __init__(self, planes: tuple, i: int, field: Field, size: int):
         self.planes = planes
-        self.gen = gen
+        self.i = i
         self.field = field
         self.size = size
 
@@ -100,13 +100,13 @@ class _Codebook:
         return self.size
 
     def word(self, j: int) -> tuple[int, ...]:
-        """Coefficients of codeword j: its base-q digits times the generator."""
+        """Coefficients of codeword j: its base-q digits times (x - 1)^i."""
         q = self.field.q
         message = []
-        while j:
+        for _ in self.planes:  # all n digits: the message zero-padded to length n
             j, a = divmod(j, q)
             message.append(a)
-        return tuple(_convolve(self.field, message, self.gen, len(self.planes)))
+        return tuple(_mul_x_minus_one_power(self.field, message, self.i))
 
 
 @lru_cache(maxsize=8)
@@ -134,7 +134,7 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
             by_symbol = _add_digit(by_symbol, span, p, gamma[k] // unit, unit)
             span *= p
         planes.append(tuple(by_symbol))
-    return _Codebook(tuple(planes), generator(spec, field).coeffs, field, spec.size)
+    return _Codebook(tuple(planes), spec.i, field, spec.size)
 
 
 def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> list[int]:

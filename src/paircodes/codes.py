@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .gf import Field, build_field, is_prime
-from .polyring import Poly, RingElement, _convolve, x_minus_one_power
+from .polyring import Poly, RingElement, x_minus_one_power
+from .polyring import _frobenius_strides, _mul_x_minus_one_power
 
 
 @dataclass(frozen=True)
@@ -111,26 +112,29 @@ def encode(spec: CodeSpec, message: Poly) -> RingElement:
         raise ValueError(
             f"message degree {message.degree} too large for dimension {spec.dimension}"
         )
-    gen = generator(spec, field).coeffs
-    return RingElement(field, tuple(_convolve(field, message.coeffs, gen, spec.n)))
+    word = message.coeffs + (0,) * (spec.n - len(message.coeffs))
+    return RingElement(field, tuple(_mul_x_minus_one_power(field, word, spec.i)))
 
 
 def contains(spec: CodeSpec, v: RingElement) -> bool:
     """Membership: (x - 1)^i divides the degree-< n lift of v.
 
-    Writing v(x) = sum_r h_r (x - 1)^r, the Taylor coefficient h_r is the
-    r-th Hasse derivative of v at 1, and v lies in C_i iff h_r = 0 for all
-    r < i.  Each h_r is the remainder of one synthetic division by x - 1,
-    which on the coefficients (highest first) is a running sum: the
-    partial sums are the quotient and the last one the remainder.  So
-    the check needs additions only, and stops at the first nonzero h_r.
+    (x - 1)^i is the product of the factors x^s - 1, s = p^k, each taken
+    i_k times for the base-p digits i_k of i.  Dividing by x^s - 1,
+    highest coefficient first, is one strided running sum per factor: in
+    each residue class mod s the partial sums are the quotient and the
+    last one the remainder.  So the check is s_p(i) passes (the digit
+    sum of i) of additions, stopping at the first nonzero remainder.
     """
     add = spec.check(v.field, v.n).add
     word = v.coeffs[::-1]
-    for _ in range(spec.i):
-        word = list(accumulate(word, add))
-        if word.pop():
+    for s in _frobenius_strides(spec.p, spec.i):
+        sums = [0] * len(word)
+        for t in range(s):
+            sums[t::s] = accumulate(word[t::s], add)
+        if any(sums[-s:]):
             return False
+        word = sums[:-s]
     return True
 
 

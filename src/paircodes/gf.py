@@ -18,7 +18,9 @@ primitive element of smallest encoding, a Field holds four lists:
 * _neg[a] = -a.
 
 For p = 2, adding base-2 digits without carries is a ^ b, which add and
-add_vec use in place of _zech (add_vec for m = 1 too).
+add_vec use in place of _zech (add_vec for m = 1 too).  sub_vec is the
+same XOR for p = 2, a compare-add for m = 1, and add_vec after _neg
+otherwise.
 
 That is 7q + O(1) entries, never q^2, so any field whose elements can be
 listed fits.  The tables are built once per instance on first use (the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 
@@ -192,6 +195,15 @@ class Field:
             raise ValueError(f"{a!r} is not an element encoding of {self!r}")
         return a
 
+    def check_vec(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """coeffs as a tuple if every entry passes check, else check's error."""
+        coeffs = tuple(coeffs)
+        if all(map(isinstance, coeffs, repeat(int))) and (
+            not coeffs or 0 <= min(coeffs) and max(coeffs) < self.q
+        ):
+            return coeffs
+        return tuple(map(self.check, coeffs))  # raises at the first bad entry
+
     def elements(self) -> range:
         """All q encodings in ascending order (determinism contract)."""
         return range(self.q)
@@ -221,6 +233,15 @@ class Field:
             exp[log[a] + zech[log[b] - log[a]]] if a and b else a or b
             for a, b in zip(u, v)
         ]
+
+    def sub_vec(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
+        """Elementwise u - v of two equal-length sequences."""
+        if self.p == 2:
+            return list(map(operator.xor, u, v))
+        if self.m == 1:
+            p = self.p
+            return [d + p if d < 0 else d for d in map(operator.sub, u, v)]
+        return self.add_vec(u, map(self._neg.__getitem__, v))
 
     def neg(self, a: int) -> int:
         if self.m == 1:

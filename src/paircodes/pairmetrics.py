@@ -16,6 +16,7 @@ whose count is d_H, whose pair_count is d_p and whose block_count is L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .gf import Field
@@ -37,9 +38,8 @@ class PairVector:
     def __post_init__(self):
         if len(self.pairs) < 2:
             raise ValueError("a cyclic pair read needs at least two positions")
-        pairs = tuple(
-            (self.field.check(a), self.field.check(b)) for a, b in self.pairs
-        )
+        pairs = tuple((a, b) for a, b in self.pairs)
+        self.field.check_vec(chain.from_iterable(pairs))
         object.__setattr__(self, "pairs", pairs)
 
     @property

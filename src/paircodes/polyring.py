@@ -9,13 +9,16 @@ Two value types with one coefficient convention (constant term first):
 Both are thin wrappers over plain coefficient sequences: one kernel,
 _convolve, does every product (Poly's without wrapping, RingElement's
 mod x^n - 1, and the fold of to_ring), and check_shape is the one
-same-field, same-length test, shared with the pair metrics.
+same-field, same-length test, shared with the pair metrics.  A product
+by (x - 1)^i skips the convolution: _mul_x_minus_one_power takes it one
+factor x^(p^k) - 1 at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .gf import Field
@@ -31,7 +34,7 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(map(self.field.check, self.coeffs))
+        coeffs = self.field.check_vec(self.coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -105,7 +108,7 @@ class RingElement:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("ring length must be positive")
-        object.__setattr__(self, "coeffs", tuple(map(self.field.check, self.coeffs)))
+        object.__setattr__(self, "coeffs", self.field.check_vec(self.coeffs))
 
     @property
     def n(self) -> int:
@@ -222,6 +225,25 @@ def x_minus_one_power(field: Field, i: int, n: int) -> RingElement:
             k = j % n
             out[k] = field.add(out[k], c)
     return RingElement(field, tuple(out))
+
+
+def _frobenius_strides(p: int, i: int):
+    """s = p^k, i_k times for each base-p digit i_k of i: (x - 1)^i = prod (x^s - 1)."""
+    s = 1
+    while i:
+        i, digit = divmod(i, p)
+        yield from repeat(s, digit)
+        s *= p
+
+
+def _mul_x_minus_one_power(field: Field, word: Sequence[int], i: int) -> Sequence[int]:
+    """word * (x - 1)^i mod x^n - 1, for n = len(word) a power of p and i <= n.
+
+    One rotate-and-subtract w <- x^s w - w per factor x^s - 1: s_p(i) passes.
+    """
+    for s in _frobenius_strides(field.p, i):
+        word = field.sub_vec(word[-s:] + word[:-s], word)
+    return word
 
 
 def cyclic_shift(v: RingElement, s: int) -> RingElement:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -134,6 +135,61 @@ def test_contains_matches_divrem_reference_exhaustive(p, m, e):
         assert [contains(spec, v) for spec in specs] == [
             spec.i <= zeros for spec in specs
         ]
+
+
+# (p, e, field): the acceptance grid's fields, GF(8), GF(16) and a
+# non-canonical modulus of GF(9)
+CROSS_CHECK_CODES = [(p, e, build_field(p, m)) for p, e, m in FAMILY_GRID] + [
+    (2, 2, build_field(2, 3)),
+    (2, 3, build_field(2, 4)),
+    (3, 2, Field(3, 2, (2, 1, 1))),
+]
+
+
+def _random_coeffs(rng, fs, length):
+    return tuple(rng.randrange(fs.q) for _ in range(length))
+
+
+@pytest.mark.parametrize("p,e,fs", CROSS_CHECK_CODES, ids=repr)
+def test_encode_matches_ring_product_with_generator(p, e, fs):
+    rng = random.Random(f"encode/{p}/{e}/{fs!r}")
+    for i in range(p**e + 1):
+        spec = CodeSpec(p, fs.m, e, i)
+        gen = generator(spec, fs)
+        for _ in range(4):
+            f = Poly(fs, _random_coeffs(rng, fs, spec.dimension))
+            assert encode(spec, f) == f.to_ring(spec.n) * gen, (spec, f)
+
+
+@pytest.mark.parametrize("p,e,fs", CROSS_CHECK_CODES, ids=repr)
+def test_contains_matches_taylor_reference(p, e, fs):
+    # codewords of C_i, codewords plus one error, and codewords of C_{i-1}
+    rng = random.Random(f"contains/{p}/{e}/{fs!r}")
+    n = p**e
+    for i in range(n + 1):
+        spec = CodeSpec(p, fs.m, e, i)
+        words = []
+        for j in (i, i - 1):
+            if j >= 0:
+                message = Poly(fs, _random_coeffs(rng, fs, n - j))
+                words.append(encode(CodeSpec(p, fs.m, e, j), message))
+        error = [0] * n
+        error[rng.randrange(n)] = rng.randrange(1, fs.q)
+        words.append(words[0] + vector(fs, error))
+        for v in words:
+            assert contains(spec, v) == (i <= _taylor_zeros(v)), (spec, v)
+
+
+@pytest.mark.parametrize("p,m,e,i", [(2, 1, 12, 2047), (3, 1, 7, 1500)])
+def test_large_code_round_trip(p, m, e, i):
+    spec = CodeSpec(p, m, e, i)
+    fs = spec.field()
+    rng = random.Random(f"large/{spec}")
+    word = encode(spec, Poly(fs, _random_coeffs(rng, fs, spec.dimension)))
+    assert contains(spec, word)
+    error = [0] * spec.n
+    error[rng.randrange(spec.n)] = rng.randrange(1, fs.q)
+    assert not contains(spec, word + vector(fs, error))
 
 
 def test_closed_form_hamming_examples():

@@ -112,6 +112,20 @@ def test_element_range_check():
         f4.check(-1)
 
 
+def test_check_vec_matches_check():
+    f4 = build_field(2, 2)
+    assert f4.check_vec([3, 0, 1]) == (3, 0, 1)
+    assert f4.check_vec(()) == ()
+    assert f4.check_vec((True, False)) == (True, False)  # bools pass check too
+    for bad in ([0, 4, -1], [1, -1, 4], [2, 1.0, 7], [0, "1"]):
+        first = next(a for a in bad if not (isinstance(a, int) and 0 <= a < 4))
+        with pytest.raises(ValueError) as caught:
+            f4.check_vec(bad)
+        with pytest.raises(ValueError) as expected:
+            f4.check(first)
+        assert str(caught.value) == str(expected.value)
+
+
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 
 
@@ -229,6 +243,18 @@ def test_table_arithmetic_matches_digit_reference(fs):
         for k in range(2 * fs.q):
             assert fs.pow(a, k) == power
             power = _ref_mul(fs, power, a)
+
+
+@pytest.mark.parametrize("fs", REFERENCE_FIELDS, ids=repr)
+def test_sub_vec_matches_digit_reference(fs):
+    elems = list(fs.elements())
+    for a in elems:
+        assert fs.sub_vec(elems, [a] * fs.q) == [
+            _ref_add(fs, b, _ref_neg(fs, a)) for b in elems
+        ]
+        assert fs.sub_vec([a] * fs.q, elems) == [
+            _ref_add(fs, a, _ref_neg(fs, b)) for b in elems
+        ]
 
 
 def test_tables_are_lazy_per_instance_and_not_pickled():

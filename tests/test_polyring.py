@@ -7,6 +7,8 @@ from paircodes.polyring import (
     NEG_INF,
     Poly,
     RingElement,
+    _frobenius_strides,
+    _mul_x_minus_one_power,
     cyclic_shift,
     ring_one,
     vector,
@@ -149,6 +151,19 @@ def test_freshmans_dream_support(p, e):
         if p**k < n:
             assert v[0] == fs.neg(1)
             assert v[p**k] == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 3), (5, 2)])
+def test_frobenius_factors_match_binomial_expansion(p, e):
+    # prod_k (x^(p^k) - 1)^(i_k) applied to 1 is (x - 1)^i, for every i
+    fs = build_field(p, 1)
+    n = p**e
+    for i in range(n + 1):
+        strides = list(_frobenius_strides(p, i))
+        assert sum(strides) == i
+        assert set(strides) <= {p**k for k in range(e + 1)}
+        word = _mul_x_minus_one_power(fs, ring_one(fs, n).coeffs, i)
+        assert tuple(word) == x_minus_one_power(fs, i, n).coeffs, f"i={i}"
 
 
 def test_cyclic_shift():
