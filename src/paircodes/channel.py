@@ -19,9 +19,9 @@ O(q) bits of big-int work per codeword and position.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .codes import CodeSpec, digit_vectors
 from .gf import Field
 from .oracle import BudgetExhausted, EnumBudget, _count_text
@@ -29,16 +29,14 @@ from .pairmetrics import PairVector, pair_read
 from .polyring import RingElement, _mul_x_minus_one_power
 
 
-@dataclass(frozen=True)
-class PairErrorPattern:
+class PairErrorPattern(Record):
     """Which pair positions were corrupted and what was written there."""
 
     positions: tuple[int, ...]
     replacements: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(Record):
     transmitted: RingElement
     received: PairVector
     decoded: RingElement | None
@@ -87,7 +85,7 @@ class _Codebook:
     number of codewords.
     """
 
-    # a plain class: a dataclass would add about 1 ms to every import
+    # not a Record: a book is cached by its spec, never compared or hashed
     __slots__ = ("planes", "i", "field", "size")
 
     def __init__(self, planes: tuple, i: int, field: Field, size: int):

@@ -11,16 +11,12 @@ symbol-pair classification against the pair-metric Singleton bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
-
+from ._record import Record
 from .gf import Field, build_field, is_prime
-from .polyring import Poly, RingElement, x_minus_one_power
-from .polyring import _frobenius_strides, _mul_x_minus_one_power
+from .polyring import Poly, RingElement, _mul_x_minus_one_power, x_minus_one_power
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(Record):
     """Parameters (p, m, e, i) identifying C_i of length p^e over F_{p^m}."""
 
     p: int
@@ -66,8 +62,7 @@ class CodeSpec:
         return field
 
 
-@dataclass(frozen=True)
-class DistanceRecord:
+class DistanceRecord(Record):
     """One distance-table row: closed-form values for a single i."""
 
     i: int
@@ -119,23 +114,12 @@ def encode(spec: CodeSpec, message: Poly) -> RingElement:
 def contains(spec: CodeSpec, v: RingElement) -> bool:
     """Membership: (x - 1)^i divides the degree-< n lift of v.
 
-    (x - 1)^i is the product of the factors x^s - 1, s = p^k, each taken
-    i_k times for the base-p digits i_k of i.  Dividing by x^s - 1,
-    highest coefficient first, is one strided running sum per factor: in
-    each residue class mod s the partial sums are the quotient and the
-    last one the remainder.  So the check is s_p(i) passes (the digit
-    sum of i) of additions, stopping at the first nonzero remainder.
+    In characteristic p, x^n - 1 = (x - 1)^n for n = p^e, so v lies in
+    <(x - 1)^i> iff v * (x - 1)^(n - i) is zero in the ring: the encode
+    kernel, s_p(n - i) rotate-and-subtract passes.
     """
-    add = spec.check(v.field, v.n).add
-    word = v.coeffs[::-1]
-    for s in _frobenius_strides(spec.p, spec.i):
-        sums = [0] * len(word)
-        for t in range(s):
-            sums[t::s] = accumulate(word[t::s], add)
-        if any(sums[-s:]):
-            return False
-        word = sums[:-s]
-    return True
+    field = spec.check(v.field, v.n)
+    return not any(_mul_x_minus_one_power(field, v.coeffs, spec.n - spec.i))
 
 
 def _hamming_branches(p: int, e: int, i: int):

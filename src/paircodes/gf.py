@@ -32,9 +32,9 @@ _digit_mul only fills _exp; _log, _zech and _neg are read off it.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
-from typing import Sequence
 
 
 def is_prime(n: int) -> bool:

@@ -35,17 +35,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
+from ._record import Record
 from .gf import Field
 from .codes import CodeSpec, digit_vectors, distance_table
 from .pairmetrics import block_count, disagreement, pair_count
 from .polyring import RingElement
 
 
-@dataclass(frozen=True)
-class EnumBudget:
+class EnumBudget(Record):
     """Caps exhaustive searches; scalar reduction is a q-1 factor saving."""
 
     max_codewords: int = 10_000_000
@@ -80,8 +79,7 @@ def _count_text(count: int) -> str:
     return f"at least 2^{count.bit_length() - 1}"
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(Record):
     i: int
     dimension: int
     formula_d_hamming: int
@@ -92,8 +90,7 @@ class FamilyEntry:
     status: str  # "match" | "mismatch" | "skipped"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     p: int
     e: int
     m: int
@@ -101,8 +98,7 @@ class VerificationReport:
     verdict: str  # "all-match" | "mismatch" | "incomplete"
 
 
-@dataclass(frozen=True)
-class IdentityViolation:
+class IdentityViolation(Record):
     x: tuple[int, ...]
     y: tuple[int, ...]
     d_hamming: int
@@ -110,8 +106,7 @@ class IdentityViolation:
     d_pair: int
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     q: int
     n: int
     mode: str
@@ -185,8 +180,7 @@ def enumerate_codewords(
         yield RingElement(field, coeffs)
 
 
-@dataclass(frozen=True)
-class _ScanResult:
+class _ScanResult(Record):
     min_hamming: int
     hamming_witness: tuple[int, ...]
     min_pair: int

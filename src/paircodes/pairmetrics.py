@@ -15,16 +15,15 @@ whose count is d_H, whose pair_count is d_p and whose block_count is L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
+from ._record import Record
 from .gf import Field
 from .polyring import RingElement, check_shape
 
 
-@dataclass(frozen=True)
-class PairVector:
+class PairVector(Record):
     """A symbol-pair read: n ordered pairs over the field alphabet.
 
     Produced from a word, pair i is (x_i, x_{(i+1) mod n}) and adjacent
@@ -54,8 +53,7 @@ class PairVector:
         )
 
 
-@dataclass(frozen=True)
-class RunProfile:
+class RunProfile(Record):
     """Disagreement set of two words plus its minimal cyclic-block count."""
 
     support: frozenset[int]

@@ -17,17 +17,16 @@ factor x^(p^k) - 1 at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import repeat
-from typing import Sequence
 
+from ._record import Record
 from .gf import Field
 
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """A polynomial with coefficients in a Field, no trailing zeros."""
 
     field: Field
@@ -98,8 +97,7 @@ class Poly:
         return RingElement(fs, tuple(_convolve(fs, self.coeffs, (1,), n)))
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """An element of F_q[x]/(x^n - 1): exactly n coefficients, zeros kept."""
 
     field: Field

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -330,4 +329,4 @@ def test_distance_record_fields():
     assert (rec.i, rec.dimension, rec.d_hamming, rec.d_pair) == (4, 5, 3, 6)
     assert rec.branch == "2(beta+2)[beta=1]"
     assert rec.mds_pair is True
-    assert tuple(f.name for f in dataclasses.fields(rec)) == TABLE_COLUMNS
+    assert rec._fields == TABLE_COLUMNS

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from test_record import SAMPLES
+
 from paircodes.gf import Field, build_field, is_irreducible, is_prime
 from paircodes.oracle import verify_family
 from paircodes.polyring import RingElement
@@ -170,6 +172,7 @@ def test_pickle_and_deepcopy_round_trip():
         f9,
         RingElement(f9, (0, 8, 3)),
         verify_family(2, 2, 2),
+        *(record for record, _ in SAMPLES),  # one record of each type
     ]
     for obj in objects:
         for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
