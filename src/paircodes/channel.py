@@ -18,7 +18,6 @@ O(q) bits of big-int work per codeword and position.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from ._record import Record
@@ -56,6 +55,8 @@ def inject_pair_errors(
     n = u.n
     if not 0 <= t <= n:
         raise ValueError(f"error count must lie in [0, {n}], got {t}")
+    import random  # imported on use: table, verify and mds never draw
+
     rng = random.Random(seed)
     positions = tuple(sorted(rng.sample(range(n), t)))
     q = u.field.q
@@ -228,6 +229,8 @@ def correctability_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    import random
+
     if budget is None:
         budget = EnumBudget()
     field = spec.field()

@@ -12,6 +12,10 @@ Input errors are the library's ValueErrors and budget overruns its
 BudgetExhausted: main alone catches them and prints "error: <message>"
 or "incomplete: <message>" on stderr.  tsv and json outputs are
 byte-deterministic for identical arguments.
+
+main(argv) may be called any number of times in one process.  The
+parser is built once, on the first call rather than at import, and
+later calls reuse it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .channel import correctability_experiment
 from .codes import CodeSpec, closed_form_pair_distance, distance_table
@@ -197,7 +202,14 @@ def cmd_simulate(args, out) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The paircodes parser, built on the first call and shared after.
+
+    parse_args leaves the parser as it was and returns a fresh Namespace,
+    and each subcommand's func reads module globals when it runs, so one
+    parser serves every main() call in a process.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

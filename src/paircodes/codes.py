@@ -85,15 +85,19 @@ def digit_vectors(spec: CodeSpec, field: Field) -> list[tuple[int, ...]]:
     base-q digits of j (constant first), so it is the F_p-combination of
     the gamma_t with the base-p digits of j, where gamma_t = x^d * x^b * g
     for g = (x - 1)^i.  As g has coefficients in F_p and x^d encodes as
-    p^d, gamma_t[k] = g[(k - b) % n] * p^d.
+    p^d, gamma_t[k] = g[(k - b) % n] * p^d: one rotation of g per b,
+    scaled for d > 0.
     """
     n = spec.n
     gen = generator(spec, field).coeffs
-    return [
-        tuple(gen[(k - b) % n] * field.p**d for k in range(n))
-        for b in range(spec.dimension)
-        for d in range(field.m)
-    ]
+    vecs = []
+    for b in range(spec.dimension):
+        rot = gen[n - b:] + gen[:n - b]
+        vecs.append(rot)
+        for d in range(1, field.m):
+            scale = field.p**d
+            vecs.append(tuple(c * scale for c in rot))
+    return vecs
 
 
 def encode(spec: CodeSpec, message: Poly) -> RingElement:

@@ -34,7 +34,6 @@ objects never mark a budget-truncated search as verified.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Iterator
 
 from ._record import Record
@@ -334,6 +333,8 @@ def verify_run_identity(
             raise ValueError("sampled mode needs a seed")
         if samples < 1:
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+        import random  # imported on use: table, verify and mds never draw
+
         rng = random.Random(seed)
 
         def draw():

@@ -343,3 +343,66 @@ def test_simulate_deterministic():
 def test_jobs_flag_validation():
     proc = run_cli("table", "--p", "2", "--e", "1", "--m", "1", "--jobs", "0")
     assert proc.returncode == 2
+
+
+# main(argv) called repeatedly in one process shares one parser
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import paircodes.cli as c; "
+        "print(c._build_parser.cache_info().misses)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n"
+
+
+def test_main_after_usage_errors_matches_fresh_process(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--p", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--p", "2", "--e", "1", "--m", "1", "--jobs", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    args = ["verify", "--p", "3", "--e", "2", "--m", "1", "--format", "tsv"]
+    rc = cli.main(args)
+    captured = capsys.readouterr()
+    fresh = run_cli(*args, binary=True)
+    assert (rc, captured.out.encode(), captured.err.encode()) == (
+        fresh.returncode, fresh.stdout, fresh.stderr,
+    )
+
+
+def test_format_default_does_not_leak_between_calls(capsys):
+    args = ["table", "--p", "3", "--e", "1", "--m", "1"]
+    assert cli.main([*args, "--format", "tsv"]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].startswith("-")
+    assert out.encode() == run_cli(*args, binary=True).stdout
+
+
+def test_patched_verify_family_takes_effect_after_first_call(monkeypatch, capsys):
+    args = ["verify", "--p", "2", "--e", "2", "--m", "1", "--format", "tsv"]
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+    calls = []
+    real = cli.verify_family
+
+    def recording(*a, **kw):
+        calls.append(a[:3])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(cli, "verify_family", recording)
+    assert cli.main(args) == 0
+    assert calls == [(2, 2, 1)]
+    assert capsys.readouterr().out == first

@@ -161,6 +161,21 @@ def test_encode_matches_ring_product_with_generator(p, e, fs):
 
 
 @pytest.mark.parametrize("p,e,fs", CROSS_CHECK_CODES, ids=repr)
+def test_digit_vectors_match_per_element_reference(p, e, fs):
+    # the rotated generator equals gen[(k - b) % n] * p^d, element by element
+    n = p**e
+    for i in range(n + 1):
+        spec = CodeSpec(p, fs.m, e, i)
+        gen = generator(spec, fs).coeffs
+        reference = [
+            tuple(gen[(k - b) % n] * fs.p**d for k in range(n))
+            for b in range(spec.dimension)
+            for d in range(fs.m)
+        ]
+        assert digit_vectors(spec, fs) == reference, spec
+
+
+@pytest.mark.parametrize("p,e,fs", CROSS_CHECK_CODES, ids=repr)
 def test_contains_matches_taylor_reference(p, e, fs):
     # codewords of C_i, codewords plus one error, and codewords of C_{i-1}
     rng = random.Random(f"contains/{p}/{e}/{fs!r}")

@@ -2,7 +2,8 @@
 
 Every record type prints the exact dataclass form, compares equal only
 within its own class, hashes as its field tuple and refuses mutation;
-a fresh import of the package loads neither dataclasses nor typing.
+a fresh import of the package loads neither dataclasses nor typing,
+nor random, which only the sampled and channel paths import on use.
 """
 
 import subprocess
@@ -153,7 +154,7 @@ def test_post_init_still_validates():
 def test_import_loads_neither_dataclasses_nor_typing():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import paircodes; "
-        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'typing', 'inspect', 'random'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(SRC)],
