@@ -12,8 +12,9 @@ codeword agreeing with one received pair.  A held book costs n * q bits
 per codeword, and a book over 64 bits per budgeted codeword is refused.
 Codewords are numbered as in codes.digit_vectors, and the book is built
 from those vectors without walking the codewords: each position's
-planes double over the base-p digits of the index (see _add_digit), at
-O(q) bits of big-int work per codeword and position.
+planes grow p-fold per base-p digit of the index (see _add_digit), by
+p shift-ORs per plane per digit: O(p * q) bits of big-int work per
+codeword and position.
 """
 
 from __future__ import annotations
@@ -141,38 +142,19 @@ def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> li
 
     Codeword a*span + j (0 <= a < p, j < span) has codeword j's symbol
     plus a * gamma, for gamma = g * unit with g in F_p and unit = p^d, so
-    block a of new plane v is old plane v - a*gamma.  In each coset
-    u + F_p*gamma (u with digit d zero) the p old planes are packed
-    once, u + c*gamma into block -c mod p, and new plane u + c*gamma is
-    that pack rotated up by c blocks.  No plane is an OR of p shifted
-    blocks, which would cost a factor of p in bits.
+    block a of new plane v is old plane v - a*gamma: v with its digit d
+    lowered by a*g mod p, no carries.  Each new plane is folded from its
+    p blocks, top block first; g = 0 repeats every plane p times.
     """
-    if not g:  # gamma = 0: every plane repeats p times
-        return [x and _repeat(x, span, p) for x in by_symbol]
-    width = p * span
-    full = (1 << width) - 1
-    steps = [c * g % p * unit for c in range(p)]  # c * gamma, no carries
-    out = [0] * len(by_symbol)
-    for u in (u for u in range(len(by_symbol)) if not u // unit % p):
-        coset = [u + step for step in steps]
-        sources = [by_symbol[v] for v in coset]
-        if any(sources):
-            packed = 0
-            for plane in sources[1:] + sources[:1]:  # blocks p-1, ..., 1, 0
-                packed = packed << span | plane
-            twice = packed | packed << width
-            for c, v in enumerate(coset):
-                out[v] = twice >> (width - c * span) & full
+    out = []
+    for v in range(len(by_symbol)):
+        digit = v // unit % p
+        rest = v - digit * unit  # v with digit d zeroed
+        plane = 0
+        for a in range(p - 1, -1, -1):  # block p-1 is the top span bits
+            plane = plane << span | by_symbol[rest + (digit - a * g) % p * unit]
+        out.append(plane)
     return out
-
-
-def _repeat(plane: int, span: int, times: int) -> int:
-    """times copies of a span-bit plane side by side, by doubling."""
-    if times == 1:
-        return plane
-    half = _repeat(plane, span, times // 2)
-    half |= half << times // 2 * span
-    return half << span | plane if times % 2 else half
 
 
 def decode_min_pair_distance(

@@ -132,6 +132,7 @@ class RingElement(Record):
 
     def scale(self, s: int) -> "RingElement":
         fs = self.field
+        fs.check(s)
         return RingElement(fs, tuple(fs.mul(s, a) for a in self.coeffs))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
@@ -142,14 +143,8 @@ class RingElement(Record):
 
     def shift(self, s: int) -> "RingElement":
         """Cyclic shift: coefficient at j moves to (j + s) mod n."""
-        n = self.n
-        s %= n
-        if s == 0:
-            return self
-        out = [0] * n
-        for j, c in enumerate(self.coeffs):
-            out[(j + s) % n] = c
-        return RingElement(self.field, tuple(out))
+        s %= self.n
+        return RingElement(self.field, self.coeffs[-s:] + self.coeffs[:-s])
 
 
 def _convolve(field: Field, a: Sequence[int], b: Sequence[int], n: int) -> list[int]:

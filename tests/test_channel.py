@@ -173,9 +173,8 @@ def test_codebook_matches_enumeration():
         assert all(book.word(j) == word.coeffs for j, word in enumerate(words)), spec
 
 
-def test_book_build_peak_is_held_size():
-    # (2,1,5,14) holds 262,144 words of length 32: 2.2 MB of planes
-    spec = CodeSpec(2, 1, 5, 14)
+def _build_traced(spec):
+    """The book of spec, built cold, with the bytes it holds and the build's peak."""
     field = spec.field()
     channel._codebook.cache_clear()
     tracemalloc.start()
@@ -185,7 +184,20 @@ def test_book_build_peak_is_held_size():
     finally:
         tracemalloc.stop()
         channel._codebook.cache_clear()
+    return book, held, peak
+
+
+def test_book_build_peak_is_held_size():
+    # (2,1,5,14) holds 262,144 words of length 32: 2.2 MB of planes
+    book, held, peak = _build_traced(CodeSpec(2, 1, 5, 14))
     assert len(book) == 262_144
+    assert peak < 1.25 * held
+
+
+def test_odd_p_book_build_peak_is_held_size():
+    # (3,1,3,14) holds 1,594,323 words of length 27 over F_3: 17 MB of planes
+    book, held, peak = _build_traced(CodeSpec(3, 1, 3, 14))
+    assert len(book) == 1_594_323
     assert peak < 1.25 * held
 
 

@@ -185,3 +185,12 @@ def test_scale_and_neg():
     assert v.scale(2).coeffs == (2, 1, 0, 4)
     assert (v + (-v)).is_zero()
     assert zero_ring_element(F5, 4).is_zero()
+
+
+@pytest.mark.parametrize("p, m, s", [
+    (3, 1, 3), (3, 1, 5), (3, 1, -1), (3, 1, 1.0), (3, 1, "1"),
+    (2, 2, 4), (2, 2, 7), (2, 2, -1), (2, 2, 2.0), (2, 2, None),
+])
+def test_scale_rejects_non_elements(p, m, s):
+    with pytest.raises(ValueError):
+        vector(build_field(p, m), (1, 2, 0)).scale(s)
