@@ -10,7 +10,9 @@ every field; __post_init__ may normalise a field with object.__setattr__.
 
 Records compare equal only to records of the same class with equal
 fields, hash as their field tuple, print as Name(field=value, ...), and
-refuse assignment and deletion.
+refuse assignment and deletion.  They pickle and copy as their
+constructor call, Name(*fields), so anything __post_init__ derives or a
+record caches in its instance dict is rebuilt, never stored.
 """
 
 
@@ -41,7 +43,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return other is self or self._values() == other._values()
         return NotImplemented
 
     def __hash__(self):
@@ -51,6 +53,9 @@ class Record:
         pairs = zip(self._fields, self._values())
         body = ", ".join(f"{name}={value!r}" for name, value in pairs)
         return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -13,8 +13,8 @@ per codeword, and a book over 64 bits per budgeted codeword is refused.
 Codewords are numbered as in codes.digit_vectors, and the book is built
 from those vectors without walking the codewords: each position's
 planes grow p-fold per base-p digit of the index (see _add_digit), by
-p shift-ORs per plane per digit: O(p * q) bits of big-int work per
-codeword and position.
+p - 1 shift-ORs per nonzero plane per digit: at most O(p * q) bits of
+big-int work per codeword and position, and none for an empty plane.
 """
 
 from __future__ import annotations
@@ -142,18 +142,18 @@ def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> li
 
     Codeword a*span + j (0 <= a < p, j < span) has codeword j's symbol
     plus a * gamma, for gamma = g * unit with g in F_p and unit = p^d, so
-    block a of new plane v is old plane v - a*gamma: v with its digit d
-    lowered by a*g mod p, no carries.  Each new plane is folded from its
-    p blocks, top block first; g = 0 repeats every plane p times.
+    old plane u is block a of new plane u + a*gamma: u with its digit d
+    raised by a*g mod p, no carries.  Block 0 of new plane u is old plane
+    u, and each nonzero old plane is scattered to its blocks 1 .. p-1, so
+    empty planes cost nothing; g = 0 repeats every plane p times.
     """
-    out = []
-    for v in range(len(by_symbol)):
-        digit = v // unit % p
-        rest = v - digit * unit  # v with digit d zeroed
-        plane = 0
-        for a in range(p - 1, -1, -1):  # block p-1 is the top span bits
-            plane = plane << span | by_symbol[rest + (digit - a * g) % p * unit]
-        out.append(plane)
+    out = list(by_symbol)
+    for u, plane in enumerate(by_symbol):
+        if plane:
+            digit = u // unit % p
+            rest = u - digit * unit  # u with digit d zeroed
+            for a in range(1, p):
+                out[rest + (digit + a * g) % p * unit] |= plane << a * span
     return out
 
 

@@ -24,9 +24,11 @@ otherwise.
 
 That is 7q + O(1) entries, never q^2, so any field whose elements can be
 listed fits.  The tables are built once per instance on first use (the
-first read of a missing slot lands in __getattr__), not at import nor in
-build_field, and __reduce__ leaves them out.  The base-p digit loop
-_digit_mul only fills _exp; _log, _zech and _neg are read off it.
+first read of a table not yet in the instance dict lands in
+__getattr__), not at import nor in build_field.  Field is a Record, so
+it pickles and copies as Field(p, m, modulus) and the tables stay out.
+The base-p digit loop _digit_mul only fills _exp; _log, _zech and _neg
+are read off it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import operator
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
+
+from ._record import Record
 
 
 def is_prime(n: int) -> bool:
@@ -133,10 +137,10 @@ def _tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
     return exp, log, zech, neg
 
 
-_TABLE_SLOTS = ("_exp", "_log", "_zech", "_neg")
+_TABLES = ("_exp", "_log", "_zech", "_neg")
 
 
-class Field:
+class Field(Record):
     """F_{p^m} presented by a monic irreducible degree-m modulus over F_p.
 
     Immutable; all operations are pure functions on int encodings, so a
@@ -144,9 +148,12 @@ class Field:
     build the tables build equal ones).
     """
 
-    __slots__ = ("p", "m", "q", "modulus") + _TABLE_SLOTS
+    p: int
+    m: int
+    modulus: tuple[int, ...] | None = None
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
+    def __post_init__(self):
+        p, m, modulus = self.p, self.m, self.modulus
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
@@ -158,37 +165,16 @@ class Field:
             raise ValueError(f"modulus must have degree {m}")
         if not is_irreducible(p, modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", p**m)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "q", p**m)
 
     def __getattr__(self, name):
-        # only reached while a table slot is unset: fill all four at once
-        if name not in _TABLE_SLOTS or self.m == 1:
+        # only reached while a table is unbuilt: fill all four at once
+        if name not in _TABLES or self.m == 1:
             raise AttributeError(name)
-        for slot, table in zip(_TABLE_SLOTS, _tables(self.p, self.modulus)):
-            object.__setattr__(self, slot, table)
+        for table_name, table in zip(_TABLES, _tables(self.p, self.modulus)):
+            object.__setattr__(self, table_name, table)
         return object.__getattribute__(self, name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
-
-    def __reduce__(self):
-        # rebuild through __init__; the default slot restore uses setattr
-        return (Field, (self.p, self.m, self.modulus))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def __repr__(self):
-        return f"Field(p={self.p}, m={self.m}, modulus={self.modulus})"
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:

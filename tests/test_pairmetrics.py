@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from paircodes.gf import build_field
+from paircodes.gf import Field, build_field, is_irreducible
 from paircodes.pairmetrics import (
     PairVector,
     hamming_distance,
@@ -14,7 +14,13 @@ from paircodes.pairmetrics import (
     pair_weight,
     run_count,
 )
-from paircodes.polyring import cyclic_shift, vector, x_minus_one_power, zero_ring_element
+from paircodes.polyring import (
+    Poly,
+    cyclic_shift,
+    vector,
+    x_minus_one_power,
+    zero_ring_element,
+)
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -35,6 +41,23 @@ def test_pair_read_rejects_short_words():
         pair_read(vector(F2, (1,)))
     with pytest.raises(ValueError):
         PairVector(F2, ((1, 0),))
+
+
+# input checks across the layers that no other test reaches
+BAD_INPUTS = {
+    "is_irreducible-composite-p": lambda: is_irreducible(4, [1, 1, 1]),
+    "field-modulus-of-wrong-degree": lambda: Field(3, 2, (1, 1)),
+    "pair_weight-length-1": lambda: pair_weight(vector(F2, (1,))),
+    "pair_distance-length-1": lambda: pair_distance(vector(F2, (1,)), vector(F2, (0,))),
+    "poly-add-across-fields": lambda: Poly(F2, (1, 1)) + Poly(F3, (1, 1)),
+    "poly-to_ring-length-0": lambda: Poly(F2, (1, 1)).to_ring(0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_input_checks_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_pair_read_is_consistent():

@@ -1,7 +1,8 @@
 """The frozen records behave as the dataclasses they replaced did.
 
-Every record type prints the exact dataclass form, compares equal only
-within its own class, hashes as its field tuple and refuses mutation;
+Every record type prints the exact dataclass form (Field the form it
+printed before it became a record), compares equal only within its own
+class, hashes as its field tuple and refuses mutation;
 a fresh import of the package loads neither dataclasses nor typing,
 nor random, which only the sampled and channel paths import on use.
 """
@@ -40,6 +41,7 @@ _VIOLATION = IdentityViolation((0, 1), (1, 1), 1, 1, 3)
 
 # one record of each type, with the repr the dataclass version printed
 SAMPLES = [
+    (F9, _F9),
     (Poly(F9, (1, 2, 0)), f"Poly(field={_F9}, coeffs=(1, 2))"),
     (RingElement(F9, (0, 8, 3)), f"RingElement(field={_F9}, coeffs=(0, 8, 3))"),
     (_READ, f"PairVector(field={_F9}, pairs=((0, 8), (8, 3), (3, 0)))"),
