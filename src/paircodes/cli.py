@@ -99,7 +99,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _field_from_args(args) -> Field:
-    if getattr(args, "modulus", None):
+    if getattr(args, "modulus", None) is not None:
         return Field(args.p, args.m, _parse_int_list(args.modulus, "--modulus"))
     return build_field(args.p, args.m)
 

@@ -7,35 +7,35 @@ the additive identity, encoding 1 the multiplicative identity, and for
 m = 1 arithmetic is just integers mod p.
 
 For m > 1 every operation is a table lookup.  With Q = q - 1 and g the
-primitive element of smallest encoding, a Field holds four lists:
+primitive element of smallest encoding, a Field's _tables are four lists:
 
-* _log[a] = k with g^k = a for a != 0, and _log[0] = 2Q;
-* _exp[k] = g^(k mod Q) for 0 <= k < 2Q and 0 for 2Q <= k <= 4Q, so
-  a * b = _exp[_log[a] + _log[b]] holds with either factor zero too;
-* _zech[d] = log(1 + g^d) for 0 <= d < Q (2Q where 1 + g^d = 0), the
+* log[a] = k with g^k = a for a != 0, and log[0] = 2Q;
+* exp[k] = g^(k mod Q) for 0 <= k < 2Q and 0 for 2Q <= k <= 4Q, so
+  a * b = exp[log[a] + log[b]] holds with either factor zero too;
+* zech[d] = log(1 + g^d) for 0 <= d < Q (2Q where 1 + g^d = 0), the
   Zech logarithms: a + b = g^la (1 + g^(lb - la)) for nonzero a, b, and a
-  negative lb - la indexes _zech modulo Q as Python lists do;
-* _neg[a] = -a.
+  negative lb - la indexes zech modulo Q as Python lists do;
+* neg[a] = -a.
 
 For p = 2, adding base-2 digits without carries is a ^ b, which add and
-add_vec use in place of _zech (add_vec for m = 1 too).  sub_vec is the
-same XOR for p = 2, a compare-add for m = 1, and add_vec after _neg
+add_vec use in place of zech (add_vec for m = 1 too).  sub_vec is the
+same XOR for p = 2, a compare-add for m = 1, and add_vec after neg
 otherwise.
 
 That is 7q + O(1) entries, never q^2, so any field whose elements can be
-listed fits.  The tables are built once per instance on first use (the
-first read of a table not yet in the instance dict lands in
-__getattr__), not at import nor in build_field.  Field is a Record, so
-it pickles and copies as Field(p, m, modulus) and the tables stay out.
-The base-p digit loop _digit_mul only fills _exp; _log, _zech and _neg
-are read off it.
+listed fits.  _tables is a functools.cached_property: the first read
+builds the tables into the instance dict, not at import nor in
+build_field, and every method branches on m == 1 before it reads them.
+Field is a Record, so it pickles and copies as Field(p, m, modulus) and
+the tables stay out.  The base-p digit loop _digit_mul only fills exp;
+log, zech and neg are read off it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 from ._record import Record
@@ -116,8 +116,8 @@ def _digit_mul(p: int, modulus: Sequence[int], a: int, b: int) -> int:
     return _encode(_reduce(p, modulus, prod), p)
 
 
-def _tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
-    """(_exp, _log, _zech, _neg) for F_p[x]/(modulus); see the module docstring."""
+def _build_tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
+    """(exp, log, zech, neg) for F_p[x]/(modulus); see the module docstring."""
     q = p ** (len(modulus) - 1)
     big_q = q - 1
     for g in range(2, q):
@@ -135,9 +135,6 @@ def _tables(p: int, modulus: Sequence[int]) -> tuple[list[int], ...]:
     zech = [log[a - a % p + (a + 1) % p] for a in powers]  # 1 + a: constant digit + 1
     neg = [exp[log[a] + log[p - 1]] for a in range(q)]  # a * (-1); log[0] reads a 0
     return exp, log, zech, neg
-
-
-_TABLES = ("_exp", "_log", "_zech", "_neg")
 
 
 class Field(Record):
@@ -160,6 +157,9 @@ class Field(Record):
             raise ValueError(f"extension degree must be >= 1, got {m}")
         if modulus is None:
             modulus = _first_irreducible(p, m)
+        modulus = tuple(modulus)
+        if not all(map(isinstance, modulus, repeat(int))):
+            raise ValueError(f"modulus coefficients must be ints, got {modulus!r}")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1:
             raise ValueError(f"modulus must have degree {m}")
@@ -168,13 +168,9 @@ class Field(Record):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "q", p**m)
 
-    def __getattr__(self, name):
-        # only reached while a table is unbuilt: fill all four at once
-        if name not in _TABLES or self.m == 1:
-            raise AttributeError(name)
-        for table_name, table in zip(_TABLES, _tables(self.p, self.modulus)):
-            object.__setattr__(self, table_name, table)
-        return object.__getattribute__(self, name)
+    @cached_property
+    def _tables(self) -> tuple[list[int], ...]:
+        return _build_tables(self.p, self.modulus)
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:
@@ -203,9 +199,9 @@ class Field(Record):
             return b
         if not b:
             return a
-        log = self._log
+        exp, log, zech, _ = self._tables
         la = log[a]
-        return self._exp[la + self._zech[log[b] - la]]
+        return exp[la + zech[log[b] - la]]
 
     def add_vec(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
         """Elementwise u + v of two equal-length sequences."""
@@ -214,7 +210,7 @@ class Field(Record):
         if self.m == 1:
             p = self.p  # a + b < 2p for encodings; a compare beats a % here
             return [s - p if s >= p else s for s in map(operator.add, u, v)]
-        exp, log, zech = self._exp, self._log, self._zech
+        exp, log, zech, _ = self._tables
         return [
             exp[log[a] + zech[log[b] - log[a]]] if a and b else a or b
             for a, b in zip(u, v)
@@ -227,23 +223,23 @@ class Field(Record):
         if self.m == 1:
             p = self.p
             return [d + p if d < 0 else d for d in map(operator.sub, u, v)]
-        return self.add_vec(u, map(self._neg.__getitem__, v))
+        return self.add_vec(u, map(self._tables[3].__getitem__, v))  # neg
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return -a % self.p
-        return self._neg[a]
+        return self._tables[3][a]  # neg
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
-        return self.add(a, self._neg[b])
+        return self.add(a, self._tables[3][b])  # neg
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
-        log = self._log
-        return self._exp[log[a] + log[b]]
+        exp, log, _, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 0 (a^0 = 1, including a = 0)."""
@@ -255,7 +251,8 @@ class Field(Record):
             return 1
         if a == 0:
             return 0
-        return self._exp[self._log[a] * k % (self.q - 1)]
+        exp, log, _, _ = self._tables
+        return exp[log[a] * k % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse."""
@@ -263,7 +260,8 @@ class Field(Record):
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return self._exp[self.q - 1 - self._log[a]]
+        exp, log, _, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
 
 def _first_irreducible(p: int, m: int) -> tuple[int, ...]:

@@ -34,9 +34,10 @@ class Poly(Record):
 
     def __post_init__(self):
         coeffs = self.field.check_vec(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     @property
     def degree(self):

@@ -217,6 +217,14 @@ def test_weight_with_modulus_override():
     assert proc.returncode == 2
 
 
+def test_weight_empty_modulus_is_an_input_error():
+    proc = run_cli(
+        "weight", "--p", "3", "--m", "2", "--vector", "1,2,0", "--modulus", ""
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot parse '--modulus' as comma-separated integers\n"
+
+
 def test_pairdist_examples():
     proc = run_cli(
         "pairdist", "--p", "2", "--m", "1",

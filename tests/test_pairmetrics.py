@@ -47,6 +47,7 @@ def test_pair_read_rejects_short_words():
 BAD_INPUTS = {
     "is_irreducible-composite-p": lambda: is_irreducible(4, [1, 1, 1]),
     "field-modulus-of-wrong-degree": lambda: Field(3, 2, (1, 1)),
+    "field-modulus-float-coefficient": lambda: Field(3, 2, (1.0, 0, 1)),
     "pair_weight-length-1": lambda: pair_weight(vector(F2, (1,))),
     "pair_distance-length-1": lambda: pair_distance(vector(F2, (1,)), vector(F2, (0,))),
     "poly-add-across-fields": lambda: Poly(F2, (1, 1)) + Poly(F3, (1, 1)),
