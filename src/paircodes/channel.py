@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .codes import CodeSpec, digit_vectors
-from .gf import Field
+from .gf import Field, _digits
 from .oracle import BudgetExhausted, EnumBudget, _count_text
 from .pairmetrics import PairVector, pair_read
 from .polyring import RingElement, _mul_x_minus_one_power
@@ -101,11 +101,7 @@ class _Codebook:
 
     def word(self, j: int) -> tuple[int, ...]:
         """Coefficients of codeword j: its base-q digits times (x - 1)^i."""
-        q = self.field.q
-        message = []
-        for _ in self.planes:  # all n digits: the message zero-padded to length n
-            j, a = divmod(j, q)
-            message.append(a)
+        message = _digits(j, self.field.q, len(self.planes))  # zero-padded to length n
         return tuple(_mul_x_minus_one_power(self.field, message, self.i))
 
 

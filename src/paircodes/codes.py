@@ -12,7 +12,7 @@ symbol-pair classification against the pair-metric Singleton bound.
 from __future__ import annotations
 
 from ._record import Record
-from .gf import Field, build_field, is_prime
+from .gf import Field, _check_prime_power, build_field
 from .polyring import Poly, RingElement, _mul_x_minus_one_power, x_minus_one_power
 
 
@@ -25,14 +25,11 @@ class CodeSpec(Record):
     i: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.e < 1:
-            raise ValueError(f"e must be >= 1, got {self.e}")
-        if not 0 <= self.i <= self.p**self.e:
-            raise ValueError(f"generator exponent must lie in [0, {self.p**self.e}]")
+        _check_prime_power(self.p, self.m)
+        if not isinstance(self.e, int) or self.e < 1:
+            raise ValueError(f"e must be an integer >= 1, got {self.e}")
+        if not isinstance(self.i, int) or not 0 <= self.i <= self.n:
+            raise ValueError(f"generator exponent must be an integer in [0, {self.n}]")
 
     @property
     def n(self) -> int:

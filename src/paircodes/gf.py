@@ -53,6 +53,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime_power(p: int, m: int) -> None:
+    """Raise ValueError unless F_{p^m} exists: p a prime int, m an int >= 1."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p must be a prime integer, got {p}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"extension degree must be an integer >= 1, got {m}")
+
+
 def _digits(value: int, p: int, width: int) -> list[int]:
     out = []
     for _ in range(width):
@@ -87,12 +95,9 @@ def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     coeffs is the coefficient list c_0..c_deg, constant term first, with
     c_deg = 1.  Degree 0 is rejected.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    coeffs = [c % p for c in coeffs]
     deg = len(coeffs) - 1
-    if deg < 1:
-        raise ValueError("degree must be at least 1")
+    _check_prime_power(p, deg)
+    coeffs = [c % p for c in coeffs]
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     for d in range(1, deg // 2 + 1):
@@ -151,10 +156,7 @@ class Field(Record):
 
     def __post_init__(self):
         p, m, modulus = self.p, self.m, self.modulus
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
+        _check_prime_power(p, m)
         if modulus is None:
             modulus = _first_irreducible(p, m)
         modulus = tuple(modulus)

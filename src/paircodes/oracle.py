@@ -50,8 +50,8 @@ class EnumBudget(Record):
     reduce_by_scalars: bool = True
 
     def __post_init__(self):
-        if self.max_codewords < 1:
-            raise ValueError("max_codewords must be >= 1")
+        if not isinstance(self.max_codewords, int) or self.max_codewords < 1:
+            raise ValueError("max_codewords must be an integer >= 1")
 
 
 class BudgetExhausted(RuntimeError):

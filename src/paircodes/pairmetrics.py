@@ -62,8 +62,6 @@ class RunProfile(Record):
 
 def pair_read(x: RingElement) -> PairVector:
     """The symbol-pair read vector of x; requires n >= 2."""
-    if x.n < 2:
-        raise ValueError("pair read needs length >= 2")
     c = x.coeffs
     n = x.n
     return PairVector(x.field, tuple((c[i], c[(i + 1) % n]) for i in range(n)))
@@ -118,7 +116,7 @@ def pair_distance(x: RingElement, y: RingElement) -> int:
 def pair_seq_distance(u: PairVector, v: PairVector) -> int:
     """Positionwise disagreement count of two raw pair sequences."""
     check_shape(u, v, "pair vectors")
-    return sum(1 for a, b in zip(u.pairs, v.pairs) if a != b)
+    return sum(disagreement(u.pairs, v.pairs))
 
 
 def run_count(x: RingElement, y: RingElement) -> RunProfile:

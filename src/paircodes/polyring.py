@@ -174,7 +174,7 @@ def zero_ring_element(field: Field, n: int) -> RingElement:
 
 
 def ring_one(field: Field, n: int) -> RingElement:
-    return RingElement(field, (1,) + (0,) * (n - 1))
+    return RingElement(field, tuple(int(k == 0) for k in range(n)))
 
 
 def _binom_mod_p(i: int, j: int, p: int) -> int:

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from paircodes.codes import CodeSpec
 from paircodes.gf import Field, build_field, is_irreducible
+from paircodes.oracle import EnumBudget
 from paircodes.pairmetrics import (
     PairVector,
     hamming_distance,
@@ -17,6 +19,7 @@ from paircodes.pairmetrics import (
 from paircodes.polyring import (
     Poly,
     cyclic_shift,
+    ring_one,
     vector,
     x_minus_one_power,
     zero_ring_element,
@@ -48,6 +51,13 @@ BAD_INPUTS = {
     "is_irreducible-composite-p": lambda: is_irreducible(4, [1, 1, 1]),
     "field-modulus-of-wrong-degree": lambda: Field(3, 2, (1, 1)),
     "field-modulus-float-coefficient": lambda: Field(3, 2, (1.0, 0, 1)),
+    "field-float-degree": lambda: Field(3, 2.0, (1, 0, 1)),
+    "field-float-p": lambda: Field(3.0, 2, (1, 0, 1)),
+    "codespec-float-p": lambda: CodeSpec(2.0, 1, 1, 0),
+    "codespec-float-e": lambda: CodeSpec(2, 1, 2.0, 0),
+    "codespec-float-i": lambda: CodeSpec(2, 1, 1, 1.0),
+    "enumbudget-float-max_codewords": lambda: EnumBudget(1.5),
+    "ring_one-length-0": lambda: ring_one(F2, 0),
     "pair_weight-length-1": lambda: pair_weight(vector(F2, (1,))),
     "pair_distance-length-1": lambda: pair_distance(vector(F2, (1,)), vector(F2, (0,))),
     "poly-add-across-fields": lambda: Poly(F2, (1, 1)) + Poly(F3, (1, 1)),
