@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .codes import CodeSpec, digit_vectors
-from .gf import Field, _digits
+from .gf import Field, _check_int, _digits
 from .oracle import BudgetExhausted, EnumBudget, _count_text
 from .pairmetrics import PairVector, pair_read
 from .polyring import RingElement, _mul_x_minus_one_power
@@ -53,13 +53,12 @@ def inject_pair_errors(
     sits at pair-sequence distance exactly t from u (and may well be an
     inconsistent read).
     """
-    n = u.n
-    if not 0 <= t <= n:
-        raise ValueError(f"error count must lie in [0, {n}], got {t}")
+    _check_int("error count", t, 0, u.n)
+    _check_int("seed", seed)
     import random  # imported on use: table, verify and mds never draw
 
     rng = random.Random(seed)
-    positions = tuple(sorted(rng.sample(range(n), t)))
+    positions = tuple(sorted(rng.sample(range(u.n), t)))
     q = u.field.q
     pairs = list(u.pairs)
     replacements = []
@@ -205,8 +204,8 @@ def correctability_experiment(
     are bit-for-bit reproducible.  When 2t + 1 <= d_p the decoder must
     recover every trial; larger t is permitted for exploratory runs.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed)
     import random
 
     if budget is None:

@@ -99,7 +99,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _field_from_args(args) -> Field:
-    if getattr(args, "modulus", None) is not None:
+    if args.modulus is not None:
         return Field(args.p, args.m, _parse_int_list(args.modulus, "--modulus"))
     return build_field(args.p, args.m)
 
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = add(
         "verify", cmd_verify, "closed forms vs brute-force oracle", "p", "e", "m"
     )
-    p_verify.add_argument("--max-enum", type=int, default=10_000_000)
+    p_verify.add_argument("--max-enum", type=int, default=EnumBudget.max_codewords)
     p_verify.add_argument("--modulus", help="override modulus c_0,...,c_m")
 
     p_weight = add("weight", cmd_weight, "Hamming/pair weight and pair read", "p", "m")
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument(
-        "--max-enum", type=int, default=10_000_000,
+        "--max-enum", type=int, default=EnumBudget.max_codewords,
         help="refuse (exit 3) a codebook over MAX_ENUM words or 64*MAX_ENUM plane bits",
     )
 

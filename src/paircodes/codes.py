@@ -12,7 +12,7 @@ symbol-pair classification against the pair-metric Singleton bound.
 from __future__ import annotations
 
 from ._record import Record
-from .gf import Field, _check_prime_power, build_field
+from .gf import Field, _check_int, _check_prime_power, build_field
 from .polyring import Poly, RingElement, _mul_x_minus_one_power, x_minus_one_power
 
 
@@ -26,10 +26,8 @@ class CodeSpec(Record):
 
     def __post_init__(self):
         _check_prime_power(self.p, self.m)
-        if not isinstance(self.e, int) or self.e < 1:
-            raise ValueError(f"e must be an integer >= 1, got {self.e}")
-        if not isinstance(self.i, int) or not 0 <= self.i <= self.n:
-            raise ValueError(f"generator exponent must be an integer in [0, {self.n}]")
+        _check_int("e", self.e, 1)
+        _check_int("generator exponent", self.i, 0, self.n)
 
     @property
     def n(self) -> int:

@@ -53,12 +53,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_int(what: str, value, low=None, high=None) -> None:
+    """Raise ValueError unless value is an int in [low, high]; a None end is open."""
+    if isinstance(value, int) and (low is None or low <= value):
+        if high is None or value <= high:
+            return
+    bound = "" if low is None else f" >= {low}"
+    if high is not None:
+        bound = f" in [{low}, {high}]"
+    raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+
+
 def _check_prime_power(p: int, m: int) -> None:
     """Raise ValueError unless F_{p^m} exists: p a prime int, m an int >= 1."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be a prime integer, got {p}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"extension degree must be an integer >= 1, got {m}")
+    _check_int("extension degree", m, 1)
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:
@@ -245,8 +255,7 @@ class Field(Record):
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 0 (a^0 = 1, including a = 0)."""
-        if k < 0:
-            raise ValueError("exponent must be non-negative")
+        _check_int("exponent", k, 0)
         if self.m == 1:
             return pow(a, k, self.p)
         if k == 0:

@@ -37,7 +37,7 @@ import itertools
 from collections.abc import Iterator
 
 from ._record import Record
-from .gf import Field
+from .gf import Field, _check_int
 from .codes import CodeSpec, digit_vectors, distance_table
 from .pairmetrics import block_count, disagreement, pair_count
 from .polyring import RingElement
@@ -50,8 +50,7 @@ class EnumBudget(Record):
     reduce_by_scalars: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.max_codewords, int) or self.max_codewords < 1:
-            raise ValueError("max_codewords must be an integer >= 1")
+        _check_int("max_codewords", self.max_codewords, 1)
 
 
 class BudgetExhausted(RuntimeError):
@@ -317,8 +316,7 @@ def verify_run_identity(
     stay under 2^20), else a seeded random sample.  Pairs with d_H = n
     are checked for d_p = n instead; d_H = 0 pairs are out of scope.
     """
-    if n < 2:
-        raise ValueError("pair distance needs length >= 2")
+    _check_int("pair read length", n, 2)
     q = field.q
     if samples is None:
         if q ** (2 * n) > _EXHAUSTIVE_PAIR_LIMIT:
@@ -329,10 +327,8 @@ def verify_run_identity(
         pair_iter = itertools.product(words, repeat=2)
         mode = "exhaustive"
     else:
-        if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        if samples < 1:
-            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+        _check_int("seed", seed)
+        _check_int("samples", samples, 1)
         import random  # imported on use: table, verify and mds never draw
 
         rng = random.Random(seed)

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from ._record import Record
-from .gf import Field
+from .gf import Field, _check_int
 from .polyring import RingElement, check_shape
 
 
@@ -35,8 +35,7 @@ class PairVector(Record):
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.pairs) < 2:
-            raise ValueError("a cyclic pair read needs at least two positions")
+        _check_int("pair read length", len(self.pairs), 2)
         pairs = tuple((a, b) for a, b in self.pairs)
         self.field.check_vec(chain.from_iterable(pairs))
         object.__setattr__(self, "pairs", pairs)
@@ -84,8 +83,7 @@ def hamming_weight(x: RingElement) -> int:
 
 def pair_weight(x: RingElement) -> int:
     """Number of positions i with (x_i, x_{i+1 mod n}) != (0, 0)."""
-    if x.n < 2:
-        raise ValueError("pair weight needs length >= 2")
+    _check_int("pair read length", x.n, 2)
     return pair_count(x.coeffs)
 
 
@@ -108,8 +106,7 @@ def hamming_distance(x: RingElement, y: RingElement) -> int:
 def pair_distance(x: RingElement, y: RingElement) -> int:
     """Positions where the pair reads of x and y differ (cyclic indices)."""
     check_shape(x, y, "words")
-    if x.n < 2:
-        raise ValueError("pair distance needs length >= 2")
+    _check_int("pair read length", x.n, 2)
     return pair_count(disagreement(x.coeffs, y.coeffs))
 
 

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from itertools import repeat
 
 from ._record import Record
-from .gf import Field
+from .gf import Field, _check_int
 
 NEG_INF = float("-inf")
 
@@ -92,8 +92,7 @@ class Poly(Record):
 
     def to_ring(self, n: int) -> "RingElement":
         """Reduce into F_q[x]/(x^n - 1): exponents wrap mod n."""
-        if n < 1:
-            raise ValueError("ring length must be positive")
+        _check_int("ring length", n, 1)
         fs = self.field
         return RingElement(fs, tuple(_convolve(fs, self.coeffs, (1,), n)))
 
@@ -208,8 +207,7 @@ def x_minus_one_power(field: Field, i: int, n: int) -> RingElement:
     """
     p = field.p
     _prime_power_exponent(n, p)
-    if not 0 <= i <= n:
-        raise ValueError(f"exponent must lie in [0, {n}], got {i}")
+    _check_int("exponent", i, 0, n)
     out = [0] * n
     for j in range(i + 1):
         c = _binom_mod_p(i, j, p)

@@ -109,6 +109,16 @@ def test_simulate_budget_exit_three():
     )
 
 
+def test_simulate_zero_trials_is_an_input_error():
+    proc = run_cli(
+        "simulate", "--p", "2", "--e", "2", "--m", "1", "--i", "1", "--t", "0",
+        "--trials", "0", "--seed", "1",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: trials must be an integer >= 1, got 0\n"
+
+
 def test_simulate_bit_budget_exit_three():
     # (257,1,1,255) is 66,049 words under --max-enum, but 257 * 257 plane
     # bits per word (545 MB) exceed 64 bits per budgeted word

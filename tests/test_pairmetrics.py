@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from paircodes.channel import correctability_experiment, inject_pair_errors
 from paircodes.codes import CodeSpec
 from paircodes.gf import Field, build_field, is_irreducible
-from paircodes.oracle import EnumBudget
+from paircodes.oracle import EnumBudget, verify_run_identity
 from paircodes.pairmetrics import (
     PairVector,
     hamming_distance,
@@ -62,6 +63,23 @@ BAD_INPUTS = {
     "pair_distance-length-1": lambda: pair_distance(vector(F2, (1,)), vector(F2, (0,))),
     "poly-add-across-fields": lambda: Poly(F2, (1, 1)) + Poly(F3, (1, 1)),
     "poly-to_ring-length-0": lambda: Poly(F2, (1, 1)).to_ring(0),
+    "inject-float-t": lambda: inject_pair_errors(pair_read(vector(F2, (1, 0))), 1.0, 3),
+    "inject-seed-none": lambda: inject_pair_errors(
+        pair_read(vector(F2, (1, 0))), 1, None
+    ),
+    "experiment-float-trials": lambda: correctability_experiment(
+        CodeSpec(2, 1, 2, 1), 0, 1.5, 3
+    ),
+    "experiment-seed-none": lambda: correctability_experiment(
+        CodeSpec(2, 1, 2, 1), 0, 1, None
+    ),
+    "run_identity-float-n": lambda: verify_run_identity(F2, 2.0),
+    "run_identity-float-samples": lambda: verify_run_identity(
+        F2, 4, samples=1.5, seed=1
+    ),
+    "x_minus_one_power-float-i": lambda: x_minus_one_power(F3, 2.0, 9),
+    "poly-to_ring-float-length": lambda: Poly(F2, (1, 1)).to_ring(2.0),
+    "field-pow-float-exponent": lambda: build_field(3, 2).pow(3, 2.0),
 }
 
 
