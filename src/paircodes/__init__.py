@@ -57,7 +57,6 @@ from .oracle import (
 )
 from .channel import (
     PairErrorPattern,
-    TrialOutcome,
     correctability_experiment,
     decode_min_pair_distance,
     inject_pair_errors,
@@ -109,7 +108,6 @@ __all__ = [
     "verify_family",
     "verify_run_identity",
     "PairErrorPattern",
-    "TrialOutcome",
     "correctability_experiment",
     "decode_min_pair_distance",
     "inject_pair_errors",

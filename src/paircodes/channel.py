@@ -36,13 +36,6 @@ class PairErrorPattern(Record):
     replacements: tuple[tuple[int, int], ...]
 
 
-class TrialOutcome(Record):
-    transmitted: RingElement
-    received: PairVector
-    decoded: RingElement | None
-    success: bool
-
-
 def inject_pair_errors(
     u: PairVector, t: int, seed: int
 ) -> tuple[PairVector, PairErrorPattern]:
@@ -197,12 +190,14 @@ def correctability_experiment(
     trials: int,
     seed: int,
     budget: EnumBudget | None = None,
-) -> tuple[float, list[TrialOutcome]]:
+) -> tuple[float, int]:
     """Transmit random codewords, inject t pair errors, decode, tally.
 
-    Trials are independently seeded from (seed, trial index), so results
-    are bit-for-bit reproducible.  When 2t + 1 <= d_p the decoder must
-    recover every trial; larger t is permitted for exploratory runs.
+    Returns (successes / trials, successes): only the count is kept, so
+    memory stays flat in trials.  Trials are independently seeded from
+    (seed, trial index), so results are bit-for-bit reproducible.  When
+    2t + 1 <= d_p the decoder must recover every trial; larger t is
+    permitted for exploratory runs.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed)
@@ -212,7 +207,6 @@ def correctability_experiment(
         budget = EnumBudget()
     field = spec.field()
     book = _codebook(spec, field, budget.max_codewords)
-    outcomes = []
     successes = 0
     for k in range(trials):
         rng = random.Random(seed * 1_000_003 + k)
@@ -220,7 +214,5 @@ def correctability_experiment(
         clean = pair_read(transmitted)
         received, _pattern = inject_pair_errors(clean, t, rng.randrange(2**63))
         decoded = decode_min_pair_distance(spec, received, budget)
-        success = decoded is not None and decoded.coeffs == transmitted.coeffs
-        successes += success
-        outcomes.append(TrialOutcome(transmitted, received, decoded, success))
-    return successes / trials, outcomes
+        successes += decoded is not None and decoded.coeffs == transmitted.coeffs
+    return successes / trials, successes

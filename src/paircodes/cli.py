@@ -187,11 +187,10 @@ def cmd_simulate(args, out) -> int:
     spec = CodeSpec(args.p, args.m, args.e, args.i)
     d_p = closed_form_pair_distance(spec)
     budget = EnumBudget(max_codewords=args.max_enum)
-    rate, outcomes = correctability_experiment(
+    rate, successes = correctability_experiment(
         spec, args.t, args.trials, args.seed, budget
     )
     guarantee_t = (d_p - 1) // 2
-    successes = sum(1 for o in outcomes if o.success)
     record = {f: getattr(args, f) for f in ("p", "e", "m", "i", "t", "trials", "seed")}
     record.update(
         d_pair=d_p, max_guaranteed_t=guarantee_t, successes=successes, success_rate=rate

@@ -9,11 +9,17 @@ from paircodes.channel import (
     decode_min_pair_distance,
     inject_pair_errors,
 )
-from paircodes.codes import CodeSpec, closed_form_pair_distance, contains, generator
+from paircodes.codes import (
+    CodeSpec,
+    closed_form_pair_distance,
+    contains,
+    encode,
+    generator,
+)
 from paircodes.gf import build_field
 from paircodes.oracle import BudgetExhausted, EnumBudget, enumerate_codewords
 from paircodes.pairmetrics import PairVector, pair_read, pair_seq_distance
-from paircodes.polyring import vector, zero_ring_element
+from paircodes.polyring import Poly, vector, zero_ring_element
 
 F2 = build_field(2, 1)
 
@@ -202,9 +208,7 @@ def test_odd_p_book_build_peak_is_held_size():
 
 
 def test_experiment_zero_errors():
-    rate, outcomes = correctability_experiment(CodeSpec(3, 1, 2, 4), 0, 20, seed=3)
-    assert rate == 1.0
-    assert all(o.success for o in outcomes)
+    assert correctability_experiment(CodeSpec(3, 1, 2, 4), 0, 20, seed=3) == (1.0, 20)
 
 
 def test_experiment_within_guarantee():
@@ -222,12 +226,34 @@ def test_experiment_deterministic():
 
 
 def test_experiment_success_implies_membership():
-    _, outcomes = correctability_experiment(CodeSpec(2, 1, 3, 5), 2, 25, seed=8)
+    # the trials the experiment counts, run by hand: d_p = 8 corrects t = 2
     spec = CodeSpec(2, 1, 3, 5)
-    for o in outcomes:
-        assert o.success
-        assert contains(spec, o.decoded)
-        assert pair_seq_distance(pair_read(o.transmitted), o.received) == 2
+    rng = random.Random(8)
+    for _ in range(25):
+        message = Poly(F2, tuple(rng.randrange(2) for _ in range(spec.dimension)))
+        transmitted = encode(spec, message)
+        received, _ = inject_pair_errors(pair_read(transmitted), 2, rng.randrange(2**63))
+        decoded = decode_min_pair_distance(spec, received)
+        assert decoded == transmitted
+        assert contains(spec, decoded)
+        assert pair_seq_distance(pair_read(transmitted), received) == 2
+
+
+def _experiment_peak(trials):
+    """tracemalloc peak of one t = 1 experiment of the given trials."""
+    tracemalloc.start()
+    try:
+        correctability_experiment(CodeSpec(3, 1, 2, 4), 1, trials, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_experiment_memory_is_flat_in_trials():
+    # the untraced warm-up builds the book, imports random and fills the
+    # interpreter's free lists, which tracemalloc would count once
+    correctability_experiment(CodeSpec(3, 1, 2, 4), 1, 2000, seed=1)
+    assert _experiment_peak(4000) - _experiment_peak(1000) < 64_000
 
 
 def test_experiment_validates_trials():

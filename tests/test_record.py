@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from paircodes._record import Record
-from paircodes.channel import PairErrorPattern, TrialOutcome
+from paircodes.channel import PairErrorPattern
 from paircodes.codes import CodeSpec, DistanceRecord
 from paircodes.gf import build_field
 from paircodes.oracle import (
@@ -83,12 +83,6 @@ SAMPLES = [
     (
         PairErrorPattern((0,), ((8, 4),)),
         "PairErrorPattern(positions=(0,), replacements=((8, 4),))",
-    ),
-    (
-        TrialOutcome(RingElement(F9, (0, 8, 3)), _READ, None, False),
-        f"TrialOutcome(transmitted=RingElement(field={_F9}, coeffs=(0, 8, 3)),"
-        f" received=PairVector(field={_F9}, pairs=((0, 8), (8, 3), (3, 0))),"
-        " decoded=None, success=False)",
     ),
 ]
 _IDS = [type(record).__name__ for record, _ in SAMPLES]
