@@ -47,7 +47,7 @@ print()
 for word in (x, y):
     d_h = hamming_distance(word, z)
     d_p = pair_distance(word, z)
-    blocks = run_count(word, z).block_count
+    blocks = run_count(word, z)
     print(
         f"word {word.coeffs}: d_H={d_h}, L={blocks}, d_p={d_p},"
         f" identity d_p == d_H + L: {d_p == d_h + blocks}"

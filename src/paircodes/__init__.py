@@ -20,7 +20,6 @@ from .polyring import (
 )
 from .pairmetrics import (
     PairVector,
-    RunProfile,
     hamming_distance,
     hamming_weight,
     pair_distance,
@@ -77,7 +76,6 @@ __all__ = [
     "x_minus_one_power",
     "zero_ring_element",
     "PairVector",
-    "RunProfile",
     "hamming_distance",
     "hamming_weight",
     "pair_distance",

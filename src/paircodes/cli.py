@@ -158,7 +158,7 @@ def cmd_pairdist(args, out) -> int:
     y = _vector_from_args(field, args.y, "--y")
     d_h = hamming_distance(x, y)
     d_p = pair_distance(x, y)
-    blocks = run_count(x, y).block_count
+    blocks = run_count(x, y)
     identity = "n/a"
     violated = False
     if 0 < d_h < x.n:

@@ -1,7 +1,7 @@
 """Brute-force ground truth for the closed-form distance formulas.
 
-Codewords are enumerated exhaustively (optionally one representative
-per scalar class, which preserves both minimum weights) and scanned for
+Codewords are enumerated exhaustively, one per scalar class (the codes
+are linear, so a nonzero multiple keeps both weights), and scanned for
 exact minima with witnesses.  Codeword j is the F_p-combination of
 codes.digit_vectors with the base-p digits of j, so the walk costs one
 vector add per codeword.  A scan ends early only once its best weights
@@ -44,10 +44,9 @@ from .polyring import RingElement
 
 
 class EnumBudget(Record):
-    """Caps exhaustive searches; scalar reduction is a q-1 factor saving."""
+    """Caps exhaustive searches at max_codewords words."""
 
     max_codewords: int = 10_000_000
-    reduce_by_scalars: bool = True
 
     def __post_init__(self):
         _check_int("max_codewords", self.max_codewords, 1)
@@ -65,16 +64,17 @@ class BudgetExhausted(RuntimeError):
         self.space = space
 
 
-# CPython refuses str() of an int over 4300 digits by default; counts of
-# codewords reach that (2^16384 for (2,14,1) at i = 0)
-_PRINTABLE = 10**4300
-
-
 def _count_text(count: int) -> str:
-    """count in decimal, or as the true "at least 2^k" past 4300 digits."""
-    if count < _PRINTABLE:
+    """count in decimal, or as the true "at least 2^k" when str() refuses it.
+
+    CPython refuses str() of an int past its int-string limit (4300
+    digits by default); counts of codewords reach that (2^16384 for
+    (2,14,1) at i = 0).
+    """
+    try:
         return str(count)
-    return f"at least 2^{count.bit_length() - 1}"
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
 
 
 class FamilyEntry(Record):
@@ -114,7 +114,7 @@ class IdentityReport(Record):
 
 
 def codeword_class_count(spec: CodeSpec, reduce_by_scalars: bool) -> int:
-    """Number of codewords the enumeration will visit (nonzero only)."""
+    """Nonzero codewords, or with reduce_by_scalars the classes the walk visits."""
     return (spec.size - 1) // (spec.q - 1 if reduce_by_scalars else 1)
 
 
@@ -125,19 +125,16 @@ def _codeword_stream(
 
     Codeword j combines digit_vectors with the base-p digits of j.  From
     j - 1 to j, digits 0 .. v_p(j) each step by +1 mod p, which adds
-    steps[v_p(j)], the sum of digit vectors 0 .. v_p(j).  Without scalar
-    reduction one run walks j = 1 .. q^k - 1; with it, run b walks the
-    messages x^b + (lower terms), j = q^b .. 2 q^b - 1.
+    steps[v_p(j)], the sum of digit vectors 0 .. v_p(j).  One word per
+    scalar class: run b walks the monic messages x^b + (lower terms),
+    j = q^b .. 2 q^b - 1.
     """
     p = field.p
     vecs = digit_vectors(spec, field)
     steps = list(itertools.accumulate(vecs, field.add_vec))
-    if budget.reduce_by_scalars:
-        runs = [(t, 2 * p**t) for t in range(0, len(vecs), field.m)]
-    else:
-        runs = [(0, spec.size)]
     words = itertools.chain.from_iterable(
-        _run(vecs[t], p**t, stop, steps, p, field.add_vec) for t, stop in runs
+        _run(vecs[t], p**t, 2 * p**t, steps, p, field.add_vec)
+        for t in range(0, len(vecs), field.m)
     )
     cap = budget.max_codewords
     yield from itertools.islice(words, cap)
@@ -145,7 +142,7 @@ def _codeword_stream(
         raise BudgetExhausted(
             f"budget of {cap} codewords exhausted for {spec}",
             scanned=cap,
-            space=codeword_class_count(spec, budget.reduce_by_scalars),
+            space=codeword_class_count(spec, True),
         )
 
 
@@ -166,8 +163,8 @@ def enumerate_codewords(
 ) -> Iterator[RingElement]:
     """Deterministic stream of nonzero codewords of C_i.
 
-    Yields encode(f) for every nonzero message f in ascending encoding
-    order (one representative per scalar class when the budget says so).
+    Yields encode(f) for every monic message f, one representative per
+    scalar class, in ascending encoding order.
     Exceeding the budget raises BudgetExhausted after the capped prefix,
     which callers can tell apart from normal completion.
     """
@@ -200,7 +197,7 @@ def _scan_min_weights(
     if spec.i == spec.n:
         zero = (0,) * n
         return _ScanResult(0, zero, 0, zero, 0)
-    space = codeword_class_count(spec, budget.reduce_by_scalars)
+    space = codeword_class_count(spec, True)
     if space > budget.max_codewords:
         raise BudgetExhausted(
             f"{_count_text(space)} codewords exceed the budget of"
@@ -319,7 +316,8 @@ def verify_run_identity(
     _check_int("pair read length", n, 2)
     q = field.q
     if samples is None:
-        if q ** (2 * n) > _EXHAUSTIVE_PAIR_LIMIT:
+        # q >= 2, so n > 10 means q^(2n) > 2^20 without paying for the power
+        if n > 10 or q ** (2 * n) > _EXHAUSTIVE_PAIR_LIMIT:
             raise ValueError(
                 "exhaustive mode needs q^(2n) <= 2^20; use sampled mode"
             )

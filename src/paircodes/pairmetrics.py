@@ -52,13 +52,6 @@ class PairVector(Record):
         )
 
 
-class RunProfile(Record):
-    """Disagreement set of two words plus its minimal cyclic-block count."""
-
-    support: frozenset[int]
-    block_count: int
-
-
 def pair_read(x: RingElement) -> PairVector:
     """The symbol-pair read vector of x; requires n >= 2."""
     c = x.coeffs
@@ -116,13 +109,11 @@ def pair_seq_distance(u: PairVector, v: PairVector) -> int:
     return sum(disagreement(u.pairs, v.pairs))
 
 
-def run_count(x: RingElement, y: RingElement) -> RunProfile:
-    """Disagreement support and its number of maximal cyclic runs.
+def run_count(x: RingElement, y: RingElement) -> int:
+    """Number of maximal cyclic runs of positions where x and y differ.
 
     Runs are cyclic: indices n-1 and 0 are consecutive.  Full support is
     a single run by convention (the wrap makes all of Z_n one block).
     """
     check_shape(x, y, "words")
-    mask = disagreement(x.coeffs, y.coeffs)
-    support = frozenset(i for i, differs in enumerate(mask) if differs)
-    return RunProfile(support, block_count(mask))
+    return block_count(disagreement(x.coeffs, y.coeffs))

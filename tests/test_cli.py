@@ -14,8 +14,8 @@ from paircodes.oracle import BudgetExhausted, EnumBudget
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, binary=False):
-    env = os.environ.copy()
+def run_cli(*args, binary=False, **env_vars):
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "paircodes", *args],
@@ -166,6 +166,20 @@ def test_simulate_count_too_long_to_print_is_incomplete():
     assert proc.stdout == ""
     assert proc.stderr == (
         "incomplete: codebook of at least 2^16384 codewords exceeds the budget"
+        " of 10000000\n"
+    )
+
+
+def test_refusal_under_a_lowered_int_string_limit():
+    # 2^4096 words is a count of 1,234 digits, over a limit lowered to 640
+    proc = run_cli(
+        "simulate", "--p", "2", "--e", "12", "--m", "1", "--i", "0", "--t", "0",
+        "--seed", "1", PYTHONINTMAXSTRDIGITS="640",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "incomplete: codebook of at least 2^4096 codewords exceeds the budget"
         " of 10000000\n"
     )
 

@@ -1,9 +1,12 @@
 import itertools
 import re
+import sys
+import tracemalloc
 
 import pytest
 
 from test_acceptance import FAMILY_GRID
+from test_channel import every_codeword
 
 from paircodes import cli, codes, oracle
 from paircodes.codes import (
@@ -62,13 +65,11 @@ ENCODE_ORDER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("reduce_by_scalars", [False, True])
 @pytest.mark.parametrize("spec,modulus", ENCODE_ORDER_CASES)
-def test_enumeration_matches_encode_order(spec, modulus, reduce_by_scalars):
-    # the stream must equal encode(f) for messages in ascending encoding
+def test_enumeration_matches_encode_order(spec, modulus):
+    # the stream must equal encode(f) for monic messages in ascending encoding
     fs = Field(spec.p, spec.m, modulus) if modulus else spec.field()
-    budget = EnumBudget(reduce_by_scalars=reduce_by_scalars)
-    got = [w.coeffs for w in enumerate_codewords(spec, budget, fs)]
+    got = [w.coeffs for w in enumerate_codewords(spec, field=fs)]
     expected = []
     q, dim = spec.q, spec.dimension
     for t in range(1, q**dim):
@@ -77,10 +78,9 @@ def test_enumeration_matches_encode_order(spec, modulus, reduce_by_scalars):
         for _ in range(dim):
             digits.append(tt % q)
             tt //= q
-        if reduce_by_scalars:
-            lead = next(d for d in reversed(digits) if d)
-            if lead != 1:
-                continue
+        lead = next(d for d in reversed(digits) if d)
+        if lead != 1:
+            continue
         expected.append(encode(spec, Poly(fs, tuple(digits))).coeffs)
     assert got == expected
 
@@ -139,16 +139,10 @@ def test_zero_code_convention():
     ],
 )
 def test_scalar_reduction_soundness(spec):
-    reduced = EnumBudget(reduce_by_scalars=True)
-    full = EnumBudget(reduce_by_scalars=False)
-    assert (
-        min_pair_weight_bruteforce(spec, reduced)[0]
-        == min_pair_weight_bruteforce(spec, full)[0]
-    )
-    assert (
-        min_hamming_weight_bruteforce(spec, reduced)[0]
-        == min_hamming_weight_bruteforce(spec, full)[0]
-    )
+    # one word per scalar class finds the minima over every nonzero codeword
+    words = every_codeword(spec)[1:]
+    assert min_pair_weight_bruteforce(spec)[0] == min(map(pair_weight, words))
+    assert min_hamming_weight_bruteforce(spec)[0] == min(map(hamming_weight, words))
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 2, 1), (2, 3, 1), (2, 2, 2)])
@@ -260,6 +254,19 @@ def test_run_identity_reports_every_violation(monkeypatch):
     assert found[x, (0, 0, 0, 1)] == IdentityViolation(x, (0, 0, 0, 1), 3, 1, 5)
 
 
+def test_refusing_exhaustive_mode_is_free():
+    # q^(2n) over GF(9) at n = 10^6 would be a 3.8 MB int
+    field = build_field(3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exhaustive mode needs"):
+            verify_run_identity(field, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+
+
 def test_run_identity_guards():
     with pytest.raises(ValueError):
         verify_run_identity(build_field(2, 1), 11)  # 2^22 ordered pairs
@@ -283,6 +290,16 @@ def test_counts_too_long_to_print_are_written_short():
         _scan_min_weights(spec, EnumBudget(max_codewords=1), spec.field())
     assert str(err.value) == "at least 2^16383 codewords exceed the budget of 1"
     assert err.value.space == 2**16384 - 1
+
+
+def test_counts_follow_a_lowered_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _count_text(10**640 - 1) == "9" * 640
+        assert _count_text(2**4096 - 1) == "at least 2^4095"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_enumeration_deterministic_with_extension_field():

@@ -25,7 +25,7 @@ from paircodes.oracle import (
     VerificationReport,
     _ScanResult,
 )
-from paircodes.pairmetrics import PairVector, RunProfile
+from paircodes.pairmetrics import PairVector
 from paircodes.polyring import Poly, RingElement
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,13 +45,12 @@ SAMPLES = [
     (Poly(F9, (1, 2, 0)), f"Poly(field={_F9}, coeffs=(1, 2))"),
     (RingElement(F9, (0, 8, 3)), f"RingElement(field={_F9}, coeffs=(0, 8, 3))"),
     (_READ, f"PairVector(field={_F9}, pairs=((0, 8), (8, 3), (3, 0)))"),
-    (RunProfile(frozenset({0, 2}), 1), "RunProfile(support=frozenset({0, 2}), block_count=1)"),
     (CodeSpec(2, 1, 3, 2), "CodeSpec(p=2, m=1, e=3, i=2)"),
     (
         DistanceRecord(1, 3, 2, 3, "3", True),
         "DistanceRecord(i=1, dimension=3, d_hamming=2, d_pair=3, branch='3', mds_pair=True)",
     ),
-    (EnumBudget(), "EnumBudget(max_codewords=10000000, reduce_by_scalars=True)"),
+    (EnumBudget(), "EnumBudget(max_codewords=10000000)"),
     (
         _ENTRY,
         "FamilyEntry(i=1, dimension=3, formula_d_hamming=2, oracle_d_hamming=2,"
@@ -116,9 +115,8 @@ def test_equality_needs_the_same_class():
 
 
 def test_fields_defaults_and_keywords():
-    assert EnumBudget._fields == ("max_codewords", "reduce_by_scalars")
-    assert EnumBudget(reduce_by_scalars=False) == EnumBudget(10_000_000, False)
-    assert EnumBudget(5).reduce_by_scalars is True
+    assert EnumBudget._fields == ("max_codewords",)
+    assert EnumBudget() == EnumBudget(max_codewords=10_000_000)
     assert CodeSpec(p=3, m=1, e=2, i=4) == CodeSpec(3, 1, 2, 4)
     assert Poly(coeffs=(1, 0), field=F2).coeffs == (1,)  # __post_init__ ran
 
