@@ -28,9 +28,9 @@ print(f"code <(x-1)^{spec.i}> of length {spec.n} over F_3: d_p = {d_p}")
 # One transmission, by hand: corrupt two pair reads and decode.
 transmitted = generator(spec)
 clean = pair_read(transmitted)
-received, pattern = inject_pair_errors(clean, t=2, seed=42)
+received, positions = inject_pair_errors(clean, t=2, seed=42)
 print("transmitted:", transmitted.coeffs)
-print("corrupted positions:", pattern.positions)
+print("corrupted positions:", positions)
 print("received consistent read?", received.consistent())
 print("pair-sequence distance:", pair_seq_distance(clean, received))
 decoded = decode_min_pair_distance(spec, received)

@@ -55,7 +55,6 @@ from .oracle import (
     verify_run_identity,
 )
 from .channel import (
-    PairErrorPattern,
     correctability_experiment,
     decode_min_pair_distance,
     inject_pair_errors,
@@ -105,7 +104,6 @@ __all__ = [
     "min_pair_weight_bruteforce",
     "verify_family",
     "verify_run_identity",
-    "PairErrorPattern",
     "correctability_experiment",
     "decode_min_pair_distance",
     "inject_pair_errors",

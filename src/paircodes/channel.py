@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record
 from .codes import CodeSpec, digit_vectors
 from .gf import Field, _check_int, _digits
 from .oracle import BudgetExhausted, EnumBudget, _count_text
@@ -29,18 +28,12 @@ from .pairmetrics import PairVector, pair_read
 from .polyring import RingElement, _mul_x_minus_one_power
 
 
-class PairErrorPattern(Record):
-    """Which pair positions were corrupted and what was written there."""
-
-    positions: tuple[int, ...]
-    replacements: tuple[tuple[int, int], ...]
-
-
 def inject_pair_errors(
     u: PairVector, t: int, seed: int
-) -> tuple[PairVector, PairErrorPattern]:
+) -> tuple[PairVector, tuple[int, ...]]:
     """Corrupt exactly t distinct pair positions of u, seeded.
 
+    Returns the corrupted read and its corrupted positions, ascending.
     Positions are drawn uniformly without replacement; each hit pair is
     replaced by a uniformly chosen different pair, so the corrupted read
     sits at pair-sequence distance exactly t from u (and may well be an
@@ -54,20 +47,14 @@ def inject_pair_errors(
     positions = tuple(sorted(rng.sample(range(u.n), t)))
     q = u.field.q
     pairs = list(u.pairs)
-    replacements = []
     for pos in positions:
         a, b = pairs[pos]
         original = a * q + b
         z = rng.randrange(q * q - 1)
         if z >= original:
             z += 1
-        new_pair = (z // q, z % q)
-        pairs[pos] = new_pair
-        replacements.append(new_pair)
-    return (
-        PairVector(u.field, tuple(pairs)),
-        PairErrorPattern(positions, tuple(replacements)),
-    )
+        pairs[pos] = (z // q, z % q)
+    return PairVector(u.field, tuple(pairs)), positions
 
 
 class _Codebook:
@@ -113,7 +100,7 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
             space=spec.size,
         )
     p, q = field.p, field.q
-    vecs = digit_vectors(spec, field)
+    vecs = digit_vectors(spec)
     units = [p ** (t % field.m) for t in range(len(vecs))]  # t = b*m + d: x^d is p^d
     planes = []
     for k in range(spec.n):
@@ -201,6 +188,7 @@ def correctability_experiment(
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed)
+    _check_int("error count", t, 0, spec.n)
     import random
 
     if budget is None:
@@ -212,7 +200,7 @@ def correctability_experiment(
         rng = random.Random(seed * 1_000_003 + k)
         transmitted = RingElement(field, book.word(rng.randrange(len(book))))
         clean = pair_read(transmitted)
-        received, _pattern = inject_pair_errors(clean, t, rng.randrange(2**63))
+        received, _ = inject_pair_errors(clean, t, rng.randrange(2**63))
         decoded = decode_min_pair_distance(spec, received, budget)
         successes += decoded is not None and decoded.coeffs == transmitted.coeffs
     return successes / trials, successes

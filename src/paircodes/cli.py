@@ -125,9 +125,9 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    field = _field_from_args(args)
+    _field_from_args(args)  # refuses a bad --modulus; a valid one changes no row
     budget = EnumBudget(max_codewords=args.max_enum)
-    report = verify_family(args.p, args.e, args.m, budget, field)
+    report = verify_family(args.p, args.e, args.m, budget)
     _emit(_rows(report.entries, VERIFY_COLUMNS), args.format, out)
     if args.format == "pretty":
         out.write(f"verdict: {report.verdict}\n")

@@ -73,7 +73,7 @@ def generator(spec: CodeSpec, field: Field | None = None) -> RingElement:
     return x_minus_one_power(spec.check(field or spec.field()), spec.i, spec.n)
 
 
-def digit_vectors(spec: CodeSpec, field: Field) -> list[tuple[int, ...]]:
+def digit_vectors(spec: CodeSpec) -> list[tuple[int, ...]]:
     """The codewords gamma_t for the base-p digits t = b*m + d of an index.
 
     Codeword j is encode(f) for the message f whose coefficients are the
@@ -81,16 +81,18 @@ def digit_vectors(spec: CodeSpec, field: Field) -> list[tuple[int, ...]]:
     the gamma_t with the base-p digits of j, where gamma_t = x^d * x^b * g
     for g = (x - 1)^i.  As g has coefficients in F_p and x^d encodes as
     p^d, gamma_t[k] = g[(k - b) % n] * p^d: one rotation of g per b,
-    scaled for d > 0.
+    scaled for d > 0.  In the polynomial basis an F_p multiple of a field
+    element scales its base-p digits mod p, so no gamma_t depends on the
+    modulus that presents F_{p^m}.
     """
     n = spec.n
-    gen = generator(spec, field).coeffs
+    gen = generator(spec).coeffs
     vecs = []
     for b in range(spec.dimension):
         rot = gen[n - b:] + gen[:n - b]
         vecs.append(rot)
-        for d in range(1, field.m):
-            scale = field.p**d
+        for d in range(1, spec.m):
+            scale = spec.p**d
             vecs.append(tuple(c * scale for c in rot))
     return vecs
 

@@ -118,9 +118,7 @@ def codeword_class_count(spec: CodeSpec, reduce_by_scalars: bool) -> int:
     return (spec.size - 1) // (spec.q - 1 if reduce_by_scalars else 1)
 
 
-def _codeword_stream(
-    spec: CodeSpec, field: Field, budget: EnumBudget
-) -> Iterator[tuple[int, ...]]:
+def _codeword_stream(spec: CodeSpec, budget: EnumBudget) -> Iterator[tuple[int, ...]]:
     """Nonzero codewords j as coefficient tuples, in ascending order of j.
 
     Codeword j combines digit_vectors with the base-p digits of j.  From
@@ -129,12 +127,12 @@ def _codeword_stream(
     scalar class: run b walks the monic messages x^b + (lower terms),
     j = q^b .. 2 q^b - 1.
     """
-    p = field.p
-    vecs = digit_vectors(spec, field)
-    steps = list(itertools.accumulate(vecs, field.add_vec))
+    p, add_vec = spec.p, spec.field().add_vec
+    vecs = digit_vectors(spec)
+    steps = list(itertools.accumulate(vecs, add_vec))
     words = itertools.chain.from_iterable(
-        _run(vecs[t], p**t, 2 * p**t, steps, p, field.add_vec)
-        for t in range(0, len(vecs), field.m)
+        _run(vecs[t], p**t, 2 * p**t, steps, p, add_vec)
+        for t in range(0, len(vecs), spec.m)
     )
     cap = budget.max_codewords
     yield from itertools.islice(words, cap)
@@ -159,7 +157,7 @@ def _run(word, start, stop, steps, p, add_vec) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_codewords(
-    spec: CodeSpec, budget: EnumBudget | None = None, field: Field | None = None
+    spec: CodeSpec, budget: EnumBudget | None = None
 ) -> Iterator[RingElement]:
     """Deterministic stream of nonzero codewords of C_i.
 
@@ -170,8 +168,8 @@ def enumerate_codewords(
     """
     if spec.dimension < 1:
         raise ValueError("enumeration needs dimension >= 1")
-    field = spec.check(field or spec.field())
-    for coeffs in _codeword_stream(spec, field, budget or EnumBudget()):
+    field = spec.field()
+    for coeffs in _codeword_stream(spec, budget or EnumBudget()):
         yield RingElement(field, coeffs)
 
 
@@ -184,7 +182,7 @@ class _ScanResult(Record):
 
 
 def _scan_min_weights(
-    spec: CodeSpec, budget: EnumBudget, field: Field, known: tuple[int, int] = (0, 0)
+    spec: CodeSpec, budget: EnumBudget, known: tuple[int, int] = (0, 0)
 ) -> _ScanResult:
     """One pass computing both minimum weights with witnesses.
 
@@ -211,7 +209,7 @@ def _scan_min_weights(
     wit_h: tuple[int, ...] | None = None
     wit_p: tuple[int, ...] | None = None
     scanned = 0
-    for word in _codeword_stream(spec, field, budget):
+    for word in _codeword_stream(spec, budget):
         scanned += 1
         w_h = n - word.count(0)
         if w_h >= best_h and w_h >= best_p:
@@ -230,7 +228,7 @@ def _scan_min_weights(
 
 
 def min_pair_weight_bruteforce(
-    spec: CodeSpec, budget: EnumBudget | None = None, field: Field | None = None
+    spec: CodeSpec, budget: EnumBudget | None = None
 ) -> tuple[int, RingElement]:
     """Exact minimum pair weight over nonzero codewords, with a witness.
 
@@ -238,26 +236,20 @@ def min_pair_weight_bruteforce(
     convention.  A budget overrun raises BudgetExhausted rather than
     passing off a partial scan as a minimum.
     """
-    field = spec.check(field or spec.field())
-    res = _scan_min_weights(spec, budget or EnumBudget(), field)
-    return res.min_pair, RingElement(field, res.pair_witness)
+    res = _scan_min_weights(spec, budget or EnumBudget())
+    return res.min_pair, RingElement(spec.field(), res.pair_witness)
 
 
 def min_hamming_weight_bruteforce(
-    spec: CodeSpec, budget: EnumBudget | None = None, field: Field | None = None
+    spec: CodeSpec, budget: EnumBudget | None = None
 ) -> tuple[int, RingElement]:
     """Exact minimum Hamming weight over nonzero codewords, with a witness."""
-    field = spec.check(field or spec.field())
-    res = _scan_min_weights(spec, budget or EnumBudget(), field)
-    return res.min_hamming, RingElement(field, res.hamming_witness)
+    res = _scan_min_weights(spec, budget or EnumBudget())
+    return res.min_hamming, RingElement(spec.field(), res.hamming_witness)
 
 
 def verify_family(
-    p: int,
-    e: int,
-    m: int,
-    budget: EnumBudget | None = None,
-    field: Field | None = None,
+    p: int, e: int, m: int, budget: EnumBudget | None = None
 ) -> VerificationReport:
     """Compare both closed forms against both oracles for every i.
 
@@ -267,7 +259,7 @@ def verify_family(
     "incomplete" if any was skipped, else "all-match".
     """
     family = CodeSpec(p, m, e, 0)  # validates p, m and e before the loop
-    field = family.check(field or family.field())
+    field = family.field()
     budget = budget or EnumBudget()
     entries = []
     # minima certified for a row bound those of every later row, a subcode;
@@ -275,7 +267,7 @@ def verify_family(
     known = (0, 0)
     for row in distance_table(p, e, m):
         try:
-            res = _scan_min_weights(CodeSpec(p, m, e, row.i), budget, field, known)
+            res = _scan_min_weights(CodeSpec(p, m, e, row.i), budget, known)
         except BudgetExhausted:
             found, witness, status = (None, None), None, "skipped"
         else:

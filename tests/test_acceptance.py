@@ -219,7 +219,7 @@ def test_criterion_5c_mds_e2_stated_sets():
         for i in sorted(want):
             spec = CodeSpec(p, 1, e, i)
             if spec.dimension <= 9:
-                if min_pair_weight_bruteforce(spec, field=fs)[0] != i + 2:
+                if min_pair_weight_bruteforce(spec)[0] != i + 2:
                     bad.append(("oracle", p, e, i))
             elif i == 0:
                 # every nonzero symbol lies in two pairs, so d_p >= 2

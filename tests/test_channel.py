@@ -40,20 +40,18 @@ def every_codeword(spec):
 
 def test_inject_zero_errors_is_identity():
     u = pair_read(generator(CodeSpec(3, 1, 2, 4)))
-    v, pattern = inject_pair_errors(u, 0, seed=5)
+    v, positions = inject_pair_errors(u, 0, seed=5)
     assert v == u
-    assert pattern.positions == ()
+    assert positions == ()
 
 
 def test_inject_distance_equals_t():
     u = pair_read(vector(F2, (1, 0, 1, 1, 0, 0, 0, 1)))
     for t in range(9):
-        v, pattern = inject_pair_errors(u, t, seed=100 + t)
+        v, positions = inject_pair_errors(u, t, seed=100 + t)
         assert pair_seq_distance(u, v) == t
-        assert len(pattern.positions) == t
-        for pos, repl in zip(pattern.positions, pattern.replacements):
-            assert v.pairs[pos] == repl
-            assert repl != u.pairs[pos]
+        assert len(positions) == t
+        assert positions == tuple(k for k in range(u.n) if v.pairs[k] != u.pairs[k])
 
 
 def test_inject_full_corruption_n2():
@@ -223,6 +221,17 @@ def test_experiment_within_guarantee():
     assert rate == 1.0
     rate, _ = correctability_experiment(CodeSpec(2, 1, 2, 1), 1, 30, seed=12)
     assert rate == 1.0
+
+
+def test_experiment_refuses_a_bad_error_count_before_building_the_book(monkeypatch):
+    def no_book(*args):
+        raise AssertionError("the codebook was built for a refused error count")
+
+    monkeypatch.setattr(channel, "_codebook", no_book)
+    for t in (-1, 9):
+        message = rf"error count must be an integer in \[0, 8\], got {t}$"
+        with pytest.raises(ValueError, match=message):
+            correctability_experiment(CodeSpec(2, 1, 3, 2), t, 5, 1)
 
 
 def test_experiment_deterministic():

@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from test_codes import irreducible_moduli
 
 from paircodes import channel, cli
 from paircodes.codes import CodeSpec
@@ -247,6 +248,22 @@ def test_weight_empty_modulus_is_an_input_error():
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot parse '--modulus' as comma-separated integers\n"
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 2), (2, 3, 3)])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_verify_rows_do_not_depend_on_the_modulus(p, e, m, fmt):
+    family = ("verify", "--p", str(p), "--e", str(e), "--m", str(m), "--format", fmt)
+    plain = run_cli(*family)
+    assert plain.returncode == 0 and plain.stdout
+    for modulus in irreducible_moduli(p, m):
+        proc = run_cli(*family, "--modulus", ",".join(map(str, modulus)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
+    # a reducible modulus is still refused: x^m - 1 has the root 1
+    reducible = ",".join([str(p - 1)] + ["0"] * (m - 1) + ["1"])
+    proc = run_cli(*family, "--modulus", reducible)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: modulus")
 
 
 def test_pairdist_examples():

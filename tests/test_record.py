@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from paircodes._record import Record
-from paircodes.channel import PairErrorPattern
 from paircodes.codes import CodeSpec, DistanceRecord
 from paircodes.gf import build_field
 from paircodes.oracle import (
@@ -78,10 +77,6 @@ SAMPLES = [
         _ScanResult(2, (1, 1, 0, 0), 3, (1, 1, 0, 0), 1),
         "_ScanResult(min_hamming=2, hamming_witness=(1, 1, 0, 0), min_pair=3,"
         " pair_witness=(1, 1, 0, 0), scanned=1)",
-    ),
-    (
-        PairErrorPattern((0,), ((8, 4),)),
-        "PairErrorPattern(positions=(0,), replacements=((8, 4),))",
     ),
 ]
 _IDS = [type(record).__name__ for record, _ in SAMPLES]
