@@ -3,11 +3,12 @@ Certifying the closed forms against a brute-force oracle
 ========================================================
 
 The formulas are only trustworthy because every branch can be checked
-by exhaustive search at desk scale.  The oracle enumerates the nonzero
-codewords (one representative per scalar class, which preserves both
-minimum weights), measures them, and compares against the closed
-forms.  It stops a scan early only once its best weights meet lower
-bounds proven without the formulas (see the oracle module docstring).
+by exhaustive search at desk scale.  The oracle enumerates the
+codewords of the monic messages over F_p (the F_p-subcode, one word per
+scalar class, holds every minimum weight over F_{p^m}), measures them,
+and compares against the closed forms.  It stops a scan early only
+once its best weights meet lower bounds proven without the formulas
+(see the oracle module docstring).
 A budget keeps the search honest: anything too large to finish is
 reported as skipped, never silently trusted.
 """

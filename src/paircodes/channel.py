@@ -10,11 +10,12 @@ The search is bit-sliced: the codebook holds one big int per (position,
 symbol) whose bit j marks codeword j, so a single AND finds every
 codeword agreeing with one received pair.  A held book costs n * q bits
 per codeword, and a book over 64 bits per budgeted codeword is refused.
-Codewords are numbered as in codes.digit_vectors, and the book is built
-from those vectors without walking the codewords: each position's
-planes grow p-fold per base-p digit of the index (see _add_digit), by
-p - 1 shift-ORs per nonzero plane per digit: at most O(p * q) bits of
-big-int work per codeword and position, and none for an empty plane.
+Codeword j is encode(f) for f with the base-q digits of j, and the book
+is built from the rotations in codes.digit_vectors without walking the
+codewords: each position's planes grow p-fold per base-p digit b*m + d
+of j, which adds rotation b times p^d (see _add_digit), by p - 1
+shift-ORs per nonzero plane per digit: at most O(p * q) bits of big-int
+work per codeword and position, and none for an empty plane.
 """
 
 from __future__ import annotations
@@ -100,14 +101,15 @@ def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
             space=spec.size,
         )
     p, q = field.p, field.q
-    vecs = digit_vectors(spec)
-    units = [p ** (t % field.m) for t in range(len(vecs))]  # t = b*m + d: x^d is p^d
+    rotations = digit_vectors(spec)
+    units = [p**d for d in range(field.m)]  # base-p digit b*m + d scales by p^d
     planes = []
     for k in range(spec.n):
         by_symbol, span = [1] + [0] * (q - 1), 1
-        for gamma, unit in zip(vecs, units):
-            by_symbol = _add_digit(by_symbol, span, p, gamma[k] // unit, unit)
-            span *= p
+        for rot in rotations:
+            for unit in units:
+                by_symbol = _add_digit(by_symbol, span, p, rot[k], unit)
+                span *= p
         planes.append(tuple(by_symbol))
     return _Codebook(tuple(planes), spec.i, field, spec.size)
 

@@ -74,27 +74,15 @@ def generator(spec: CodeSpec, field: Field | None = None) -> RingElement:
 
 
 def digit_vectors(spec: CodeSpec) -> list[tuple[int, ...]]:
-    """The codewords gamma_t for the base-p digits t = b*m + d of an index.
+    """The rotations x^b * g of g = (x - 1)^i, b below the dimension.
 
-    Codeword j is encode(f) for the message f whose coefficients are the
-    base-q digits of j (constant first), so it is the F_p-combination of
-    the gamma_t with the base-p digits of j, where gamma_t = x^d * x^b * g
-    for g = (x - 1)^i.  As g has coefficients in F_p and x^d encodes as
-    p^d, gamma_t[k] = g[(k - b) % n] * p^d: one rotation of g per b,
-    scaled for d > 0.  In the polynomial basis an F_p multiple of a field
-    element scales its base-p digits mod p, so no gamma_t depends on the
+    A basis of C_i over F_q and over F_p: encode(f) combines them with
+    the coefficients of f.  g is over F_p, so no rotation depends on the
     modulus that presents F_{p^m}.
     """
     n = spec.n
     gen = generator(spec).coeffs
-    vecs = []
-    for b in range(spec.dimension):
-        rot = gen[n - b:] + gen[:n - b]
-        vecs.append(rot)
-        for d in range(1, spec.m):
-            scale = spec.p**d
-            vecs.append(tuple(c * scale for c in rot))
-    return vecs
+    return [gen[n - b:] + gen[:n - b] for b in range(spec.dimension)]
 
 
 def encode(spec: CodeSpec, message: Poly) -> RingElement:

@@ -1,12 +1,18 @@
 """Brute-force ground truth for the closed-form distance formulas.
 
-Codewords are enumerated exhaustively, one per scalar class (the codes
-are linear, so a nonzero multiple keeps both weights), and scanned for
-exact minima with witnesses.  Codeword j is the F_p-combination of
-codes.digit_vectors with the base-p digits of j, so the walk costs one
-vector add per codeword.  A scan ends early only once its best weights
-meet lower bounds proven without the closed forms:
+The walk visits the monic messages f over F_p, in ascending order of
+the index j whose base-p digits they are, and scans each encode(f), the
+F_p-combination of codes.digit_vectors with the digits of j, for exact
+minima with witnesses.  It stops early only once its best weights meet
+lower bounds proven without the closed forms, and it never reads m:
 
+* the walk finds every minimum of C_i and its first achiever over all
+  monic f over F_{p^m}, ascending (any nonzero codeword is a scalar
+  multiple of one).  Split f = sum_d alpha^d f_d, alpha the root that
+  presents F_{p^m} and f_d over F_p.  As (x - 1)^i is over F_p,
+  encode(f_0) is digit 0 of encode(f), so its support lies within that
+  of encode(f), and w_H and w_p are monotone in the support; f_0 is
+  monic (digit 0 of the leading 1 is 1) and comes no later than f;
 * a nonzero word has w_H >= 1, and for i >= 1 every codeword is a
   multiple of (x - 1), so c(1) = 0 and w_H >= 2;
 * a nonzero word has w_p >= min(n, w_H + 1) (w_p = n on full support,
@@ -37,7 +43,7 @@ import itertools
 from collections.abc import Iterator
 
 from ._record import Record
-from .gf import Field, _check_int
+from .gf import Field, _check_int, build_field
 from .codes import CodeSpec, digit_vectors, distance_table
 from .pairmetrics import block_count, disagreement, pair_count
 from .polyring import RingElement
@@ -114,25 +120,26 @@ class IdentityReport(Record):
 
 
 def codeword_class_count(spec: CodeSpec, reduce_by_scalars: bool) -> int:
-    """Nonzero codewords, or with reduce_by_scalars the classes the walk visits."""
-    return (spec.size - 1) // (spec.q - 1 if reduce_by_scalars else 1)
+    """Nonzero codewords, or with reduce_by_scalars the monic F_p-words walked."""
+    if reduce_by_scalars:
+        return (spec.p**spec.dimension - 1) // (spec.p - 1)
+    return spec.size - 1
 
 
 def _codeword_stream(spec: CodeSpec, budget: EnumBudget) -> Iterator[tuple[int, ...]]:
-    """Nonzero codewords j as coefficient tuples, in ascending order of j.
+    """Codewords j of the F_p-subcode as coefficient tuples, j ascending.
 
     Codeword j combines digit_vectors with the base-p digits of j.  From
     j - 1 to j, digits 0 .. v_p(j) each step by +1 mod p, which adds
-    steps[v_p(j)], the sum of digit vectors 0 .. v_p(j).  One word per
-    scalar class: run b walks the monic messages x^b + (lower terms),
-    j = q^b .. 2 q^b - 1.
+    steps[v_p(j)], the sum of digit vectors 0 .. v_p(j).  Run b walks the
+    monic messages x^b + (lower terms), j = p^b .. 2 p^b - 1.  Entries
+    stay below p, where F_{p^m} adds as F_p does.
     """
-    p, add_vec = spec.p, spec.field().add_vec
+    p, add_vec = spec.p, build_field(spec.p, 1).add_vec
     vecs = digit_vectors(spec)
     steps = list(itertools.accumulate(vecs, add_vec))
     words = itertools.chain.from_iterable(
-        _run(vecs[t], p**t, 2 * p**t, steps, p, add_vec)
-        for t in range(0, len(vecs), spec.m)
+        _run(vec, p**b, 2 * p**b, steps, p, add_vec) for b, vec in enumerate(vecs)
     )
     cap = budget.max_codewords
     yield from itertools.islice(words, cap)
@@ -161,8 +168,9 @@ def enumerate_codewords(
 ) -> Iterator[RingElement]:
     """Deterministic stream of nonzero codewords of C_i.
 
-    Yields encode(f) for every monic message f, one representative per
-    scalar class, in ascending encoding order.
+    Yields encode(f) for every monic message f with coefficients in F_p,
+    in ascending encoding order: the F_p-subcode, one word per scalar
+    class, which holds every minimum of C_i (see the module docstring).
     Exceeding the budget raises BudgetExhausted after the capped prefix,
     which callers can tell apart from normal completion.
     """

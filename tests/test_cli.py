@@ -266,6 +266,20 @@ def test_verify_rows_do_not_depend_on_the_modulus(p, e, m, fmt):
     assert proc.stderr.startswith("error: modulus")
 
 
+@pytest.mark.parametrize(
+    "p,e,m,code",
+    [(2, 4, 2, 0), (3, 2, 2, 0), (5, 1, 3, 0), (7, 1, 2, 0), (2, 5, 2, 3)],
+)
+def test_verify_rows_do_not_depend_on_m(p, e, m, code):
+    # the walk never reads m, so the default budget certifies and skips the
+    # rows it does for m = 1; (2,5,2) skips rows 0..8, as (2,5,1) does
+    family = ("verify", "--p", str(p), "--e", str(e), "--format", "tsv")
+    proc = run_cli(*family, "--m", str(m))
+    plain = run_cli(*family, "--m", "1")
+    assert proc.returncode == plain.returncode == code
+    assert proc.stdout == plain.stdout
+
+
 def test_pairdist_examples():
     proc = run_cli(
         "pairdist", "--p", "2", "--m", "1",

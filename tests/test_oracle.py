@@ -49,6 +49,9 @@ def test_class_count_formulas():
     assert codeword_class_count(CodeSpec(3, 1, 2, 7), True) == 4
     assert codeword_class_count(CodeSpec(3, 1, 2, 7), False) == 8
     assert codeword_class_count(CodeSpec(2, 1, 2, 2), True) == 3
+    # over F_4 the walk visits the 2^3 - 1 monic F_2-messages of 4^3 - 1 words
+    assert codeword_class_count(CodeSpec(2, 2, 2, 1), True) == 7
+    assert codeword_class_count(CodeSpec(2, 2, 2, 1), False) == 63
 
 
 def test_enumeration_rejects_zero_dimension():
@@ -67,18 +70,18 @@ ENCODE_ORDER_CASES = [
 
 @pytest.mark.parametrize("spec,modulus", ENCODE_ORDER_CASES)
 def test_enumeration_matches_encode_order(spec, modulus):
-    # the stream must equal encode(f) for monic messages in ascending encoding,
-    # under any modulus of F_{p^m}
+    # the stream must equal encode(f) for monic messages over F_p in ascending
+    # encoding, under any modulus of F_{p^m}
     fs = Field(spec.p, spec.m, modulus) if modulus else spec.field()
     got = [w.coeffs for w in enumerate_codewords(spec)]
     expected = []
-    q, dim = spec.q, spec.dimension
-    for t in range(1, q**dim):
+    p, dim = spec.p, spec.dimension
+    for t in range(1, p**dim):
         digits = []
         tt = t
         for _ in range(dim):
-            digits.append(tt % q)
-            tt //= q
+            digits.append(tt % p)
+            tt //= p
         lead = next(d for d in reversed(digits) if d)
         if lead != 1:
             continue
@@ -296,8 +299,19 @@ def test_enumeration_deterministic_with_extension_field():
         assert contains(spec, w)
 
 
+def _monic_codewords(spec):
+    """encode(f) for every monic f over F_{p^m}, ascending in the index whose
+    base-q digits are f's coefficients; built by encode alone."""
+    field, q = spec.field(), spec.q
+    for b in range(spec.dimension):
+        for low in range(q**b):
+            message = tuple(low // q**d % q for d in range(b)) + (1,)
+            yield encode(spec, Poly(field, message))
+
+
 def _reference_family(p, e, m):
-    # plain minima over the public stream; witnesses are first strict achievers
+    # plain minima over every monic message over F_{p^m}, not the oracle's
+    # F_p walk; witnesses are first strict achievers
     rows = []
     for i in range(p**e + 1):
         spec = CodeSpec(p, m, e, i)
@@ -306,7 +320,7 @@ def _reference_family(p, e, m):
             continue
         best_h = best_p = spec.n + 1
         wit_p = None
-        for word in enumerate_codewords(spec):
+        for word in _monic_codewords(spec):
             best_h = min(best_h, hamming_weight(word))
             w_p = pair_weight(word)
             if w_p < best_p:
@@ -328,8 +342,8 @@ def test_verify_family_matches_plain_reference(p, e, m):
 @pytest.mark.parametrize("i", [0, 1])
 def test_scan_stops_at_proven_floor(i):
     # the generator comes first and already meets w_H >= 1 (i = 0) or
-    # w_H >= 2 (i >= 1), with w_p >= w_H + 1; the spaces hold 2,396,745
-    # and 299,593 words
+    # w_H >= 2 (i >= 1), with w_p >= w_H + 1; the walks hold 255 and 127
+    # words
     spec = CodeSpec(2, 3, 3, i)
     res = _scan_min_weights(spec, EnumBudget())
     assert res.scanned == 1
