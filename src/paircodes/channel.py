@@ -15,7 +15,10 @@ is built from the rotations in codes.digit_vectors without walking the
 codewords: each position's planes grow p-fold per base-p digit b*m + d
 of j, which adds rotation b times p^d (see _add_digit), by p - 1
 shift-ORs per nonzero plane per digit: at most O(p * q) bits of big-int
-work per codeword and position, and none for an empty plane.
+work per codeword and position, and none for an empty plane.  The
+generator has F_p coefficients, so the planes do not depend on the
+modulus that presents F_{p^m}: one book per code, shared by every
+modulus.
 """
 
 from __future__ import annotations
@@ -63,55 +66,53 @@ class _Codebook:
 
     Bit j of planes[k][v] is set iff codeword j, encode(f) for the
     message f whose coefficients are the base-q digits of j, has symbol v
-    at position k.  i is the code's generator exponent; len() is the
-    number of codewords.
+    at position k; len() is the number of codewords.  The generator has
+    F_p coefficients, so no plane depends on the modulus that presents
+    F_{p^m}: one book per code, shared by every modulus, built under
+    spec.field() and cached by _codebook.
     """
 
-    # not a Record: a book is cached by its spec, never compared or hashed
-    __slots__ = ("planes", "i", "field", "size")
+    # not a Record: a book is cached by its arguments, never compared or hashed
+    __slots__ = ("planes", "spec", "field", "size")
 
-    def __init__(self, planes: tuple, i: int, field: Field, size: int):
-        self.planes = planes
-        self.i = i
-        self.field = field
-        self.size = size
+    def __init__(self, spec: CodeSpec, field: Field, max_codewords: int):
+        if spec.size > max_codewords:
+            raise BudgetExhausted(
+                f"codebook of {_count_text(spec.size)} codewords exceeds the budget"
+                f" of {max_codewords}",
+                space=spec.size,
+            )
+        bits = spec.size * spec.n * spec.q
+        if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
+            raise BudgetExhausted(
+                f"codebook of {spec.size} codewords needs {_count_text(bits)}"
+                f" plane bits, over the budget of {64 * max_codewords}",
+                space=spec.size,
+            )
+        p, q = field.p, field.q
+        rotations = digit_vectors(spec)
+        units = [p**d for d in range(field.m)]  # base-p digit b*m + d scales by p^d
+        planes = []
+        for k in range(spec.n):
+            by_symbol, span = [1] + [0] * (q - 1), 1
+            for rot in rotations:
+                for unit in units:
+                    by_symbol = _add_digit(by_symbol, span, p, rot[k], unit)
+                    span *= p
+            planes.append(tuple(by_symbol))
+        self.planes, self.spec, self.field = tuple(planes), spec, field
+        self.size = spec.size  # len() runs on every decode
 
     def __len__(self) -> int:
         return self.size
 
     def word(self, j: int) -> tuple[int, ...]:
         """Coefficients of codeword j: its base-q digits times (x - 1)^i."""
-        message = _digits(j, self.field.q, len(self.planes))  # zero-padded to length n
-        return tuple(_mul_x_minus_one_power(self.field, message, self.i))
+        message = _digits(j, self.field.q, self.spec.n)  # zero-padded to length n
+        return tuple(_mul_x_minus_one_power(self.field, message, self.spec.i))
 
 
-@lru_cache(maxsize=8)
-def _codebook(spec: CodeSpec, field: Field, max_codewords: int) -> _Codebook:
-    if spec.size > max_codewords:
-        raise BudgetExhausted(
-            f"codebook of {_count_text(spec.size)} codewords exceeds the budget"
-            f" of {max_codewords}",
-            space=spec.size,
-        )
-    bits = spec.size * spec.n * spec.q
-    if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
-        raise BudgetExhausted(
-            f"codebook of {spec.size} codewords needs {_count_text(bits)} plane bits,"
-            f" over the budget of {64 * max_codewords}",
-            space=spec.size,
-        )
-    p, q = field.p, field.q
-    rotations = digit_vectors(spec)
-    units = [p**d for d in range(field.m)]  # base-p digit b*m + d scales by p^d
-    planes = []
-    for k in range(spec.n):
-        by_symbol, span = [1] + [0] * (q - 1), 1
-        for rot in rotations:
-            for unit in units:
-                by_symbol = _add_digit(by_symbol, span, p, rot[k], unit)
-                span *= p
-        planes.append(tuple(by_symbol))
-    return _Codebook(tuple(planes), spec.i, field, spec.size)
+_codebook = lru_cache(maxsize=8)(_Codebook)
 
 
 def _add_digit(by_symbol: list[int], span: int, p: int, g: int, unit: int) -> list[int]:
@@ -146,12 +147,14 @@ def decode_min_pair_distance(
     agreement sets are summed per codeword in a bit-sliced counter, and
     the codewords with the most agreements are at minimum distance.  A
     tie between distinct codewords is reported as an ambiguous failure
-    rather than resolved arbitrarily.
+    rather than resolved arbitrarily.  There is one book per code, shared
+    by every modulus: it is built under spec.field(), and the decoded
+    word is given the read's field.
     """
     if budget is None:
         budget = EnumBudget()
     field = spec.check(received.field, received.n)
-    book = _codebook(spec, field, budget.max_codewords)
+    book = _codebook(spec, spec.field(), budget.max_codewords)
     planes = book.planes
     counter: list[int] = []  # counter[b] holds bit b of every agreement count
     for (a, b), here, there in zip(received.pairs, planes, planes[1:] + planes[:1]):

@@ -269,10 +269,7 @@ class Field(Record):
         """Multiplicative inverse."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        exp, log, _, _ = self._tables
-        return exp[self.q - 1 - log[a]]
+        return self.pow(a, self.q - 2)
 
 
 def _first_irreducible(p: int, m: int) -> tuple[int, ...]:

@@ -143,6 +143,7 @@ class RingElement(Record):
 
     def shift(self, s: int) -> "RingElement":
         """Cyclic shift: coefficient at j moves to (j + s) mod n."""
+        _check_int("shift", s)
         s %= self.n
         return RingElement(self.field, self.coeffs[-s:] + self.coeffs[:-s])
 
@@ -169,10 +170,12 @@ def check_shape(a, b, what: str) -> None:
 
 
 def zero_ring_element(field: Field, n: int) -> RingElement:
+    _check_int("ring length", n, 1)
     return RingElement(field, (0,) * n)
 
 
 def ring_one(field: Field, n: int) -> RingElement:
+    _check_int("ring length", n, 1)
     return RingElement(field, tuple(int(k == 0) for k in range(n)))
 
 
@@ -188,16 +191,6 @@ def _binom_mod_p(i: int, j: int, p: int) -> int:
     return r
 
 
-def _prime_power_exponent(n: int, p: int) -> int:
-    e = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        e += 1
-    if n != 1 or e < 1:
-        raise ValueError("ring length must be a positive power of the characteristic")
-    return e
-
-
 def x_minus_one_power(field: Field, i: int, n: int) -> RingElement:
     """(x - 1)^i in F_q[x]/(x^n - 1), for n = p^e and 0 <= i <= n.
 
@@ -206,7 +199,12 @@ def x_minus_one_power(field: Field, i: int, n: int) -> RingElement:
     all inner binomials vanish mod p and the ends cancel, giving zero.
     """
     p = field.p
-    _prime_power_exponent(n, p)
+    _check_int("ring length", n, 1)
+    rest = n
+    while rest % p == 0:
+        rest //= p
+    if rest != 1 or n == 1:
+        raise ValueError("ring length must be a positive power of the characteristic")
     _check_int("exponent", i, 0, n)
     out = [0] * n
     for j in range(i + 1):

@@ -16,7 +16,7 @@ from paircodes.codes import (
     encode,
     generator,
 )
-from paircodes.gf import build_field
+from paircodes.gf import Field, build_field
 from paircodes.oracle import BudgetExhausted, EnumBudget
 from paircodes.pairmetrics import PairVector, pair_read, pair_seq_distance
 from paircodes.polyring import Poly, vector, zero_ring_element
@@ -98,6 +98,19 @@ def test_decode_membership():
     decoded = decode_min_pair_distance(spec, corrupted)
     assert decoded is not None
     assert contains(spec, decoded)
+
+
+def test_one_book_per_code_under_every_modulus():
+    # GF(9) under its canonical modulus and under x^2 + x + 2: the generator
+    # has F_3 coefficients, so both reads share one book
+    spec = CodeSpec(3, 2, 1, 1)
+    channel._codebook.cache_clear()
+    for field in (build_field(3, 2), Field(3, 2, (2, 1, 1))):
+        sent = generator(spec, field)
+        decoded = decode_min_pair_distance(spec, pair_read(sent))
+        assert decoded == sent
+        assert decoded.field is field
+    assert channel._codebook.cache_info().misses == 1
 
 
 def test_decode_budget_exhausted():

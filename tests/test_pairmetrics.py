@@ -80,6 +80,11 @@ BAD_INPUTS = {
     "x_minus_one_power-float-i": lambda: x_minus_one_power(F3, 2.0, 9),
     "poly-to_ring-float-length": lambda: Poly(F2, (1, 1)).to_ring(2.0),
     "field-pow-float-exponent": lambda: build_field(3, 2).pow(3, 2.0),
+    "x_minus_one_power-float-length": lambda: x_minus_one_power(F3, 2, 9.0),
+    "x_minus_one_power-length-none": lambda: x_minus_one_power(F3, 2, None),
+    "zero_ring_element-float-length": lambda: zero_ring_element(F3, 2.0),
+    "ring_one-float-length": lambda: ring_one(F3, 2.0),
+    "cyclic_shift-float-shift": lambda: cyclic_shift(vector(F3, (1, 0, 0)), 1.5),
 }
 
 
