@@ -54,9 +54,9 @@ def is_prime(n: int) -> bool:
 
 
 def _check_int(what: str, value, low=None, high=None) -> None:
-    """Raise ValueError unless value is an int in [low, high]; a None end is open."""
-    if isinstance(value, int) and (low is None or low <= value):
-        if high is None or value <= high:
+    """Raise unless value is a non-bool int in [low, high]; a None end is open."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or low <= value) and (high is None or value <= high):
             return
     bound = "" if low is None else f" >= {low}"
     if high is not None:
@@ -107,6 +107,8 @@ def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     """
     deg = len(coeffs) - 1
     _check_prime_power(p, deg)
+    if not all(map(isinstance, coeffs, repeat(int))):
+        raise ValueError(f"coefficients must be ints, got {coeffs!r}")
     coeffs = [c % p for c in coeffs]
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")

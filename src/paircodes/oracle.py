@@ -113,7 +113,6 @@ class IdentityViolation(Record):
 class IdentityReport(Record):
     q: int
     n: int
-    mode: str
     pairs_checked: int
     full_support_pairs: int
     violations: tuple[IdentityViolation, ...]
@@ -301,47 +300,23 @@ def verify_family(
 _EXHAUSTIVE_PAIR_LIMIT = 2**20
 
 
-def verify_run_identity(
-    field: Field,
-    n: int,
-    samples: int | None = None,
-    seed: int | None = None,
-) -> IdentityReport:
-    """Check d_p = d_H + L over ordered word pairs with 0 < d_H < n.
+def verify_run_identity(field: Field, n: int) -> IdentityReport:
+    """Check d_p = d_H + L over all ordered word pairs with 0 < d_H < n.
 
-    Exhaustive when samples is None (requires q^(2n) ordered pairs to
-    stay under 2^20), else a seeded random sample.  Pairs with d_H = n
-    are checked for d_p = n instead; d_H = 0 pairs are out of scope.
+    Exhaustive, so it requires q^(2n) ordered pairs to stay under 2^20.
+    Pairs with d_H = n are checked for d_p = n instead; d_H = 0 pairs
+    are out of scope.
     """
     _check_int("pair read length", n, 2)
     q = field.q
-    if samples is None:
-        # q >= 2, so n > 10 means q^(2n) > 2^20 without paying for the power
-        if n > 10 or q ** (2 * n) > _EXHAUSTIVE_PAIR_LIMIT:
-            raise ValueError(
-                "exhaustive mode needs q^(2n) <= 2^20; use sampled mode"
-            )
-        words = list(itertools.product(range(q), repeat=n))
-        pair_iter = itertools.product(words, repeat=2)
-        mode = "exhaustive"
-    else:
-        _check_int("seed", seed)
-        _check_int("samples", samples, 1)
-        import random  # imported on use: table, verify and mds never draw
-
-        rng = random.Random(seed)
-
-        def draw():
-            return tuple(rng.randrange(q) for _ in range(n))
-
-        # x is drawn before y: the seeded sample depends on this order
-        pair_iter = ((draw(), draw()) for _ in range(samples))
-        mode = f"sample({samples},{seed})"
-
+    # q >= 2, so n > 10 means q^(2n) > 2^20 without paying for the power
+    if n > 10 or q ** (2 * n) > _EXHAUSTIVE_PAIR_LIMIT:
+        raise ValueError("exhaustive mode needs q^(2n) <= 2^20")
+    words = list(itertools.product(range(q), repeat=n))
     checked = 0
     full_support = 0
     violations = []
-    for x, y in pair_iter:
+    for x, y in itertools.product(words, repeat=2):
         mask = disagreement(x, y)
         d_h = sum(mask)
         if d_h == 0:
@@ -356,4 +331,4 @@ def verify_run_identity(
             expected = d_h + blocks
         if d_p != expected:
             violations.append(IdentityViolation(x, y, d_h, blocks, d_p))
-    return IdentityReport(q, n, mode, checked, full_support, tuple(violations))
+    return IdentityReport(q, n, checked, full_support, tuple(violations))

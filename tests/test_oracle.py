@@ -216,12 +216,15 @@ def test_run_identity_exhaustive():
     assert rep.full_support_pairs == 81 * 16
 
 
-def test_run_identity_sampled():
-    rep = verify_run_identity(build_field(5, 1), 12, samples=2000, seed=17)
+@pytest.mark.parametrize(
+    "p, m, n", [(2, 1, 8), (2, 2, 4), (5, 1, 3), (7, 1, 3)], ids=["GF2", "GF4", "GF5", "GF7"]
+)
+def test_run_identity_exhaustive_over_more_fields(p, m, n):
+    q = p**m
+    rep = verify_run_identity(build_field(p, m), n)
     assert not rep.violations
-    assert rep.mode == "sample(2000,17)"
-    again = verify_run_identity(build_field(5, 1), 12, samples=2000, seed=17)
-    assert rep == again
+    assert rep.full_support_pairs == q**n * (q - 1) ** n
+    assert rep.pairs_checked == q ** (2 * n) - q**n - q**n * (q - 1) ** n
 
 
 def test_run_identity_reports_every_violation(monkeypatch):
@@ -257,16 +260,9 @@ def test_refusing_exhaustive_mode_is_free():
 def test_run_identity_guards():
     with pytest.raises(ValueError):
         verify_run_identity(build_field(2, 1), 11)  # 2^22 ordered pairs
-    with pytest.raises(ValueError):
-        verify_run_identity(build_field(2, 1), 30, samples=10, seed=None)
-    for samples in (0, -3):
-        with pytest.raises(ValueError):
-            verify_run_identity(build_field(2, 1), 30, samples=samples, seed=1)
     for n in (0, 1):
         with pytest.raises(ValueError):
             verify_run_identity(build_field(2, 1), n)
-        with pytest.raises(ValueError):
-            verify_run_identity(build_field(2, 1), n, samples=10, seed=1)
 
 
 def test_counts_too_long_to_print_are_written_short():

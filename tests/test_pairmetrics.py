@@ -50,6 +50,7 @@ def test_pair_read_rejects_short_words():
 # input checks across the layers that no other test reaches
 BAD_INPUTS = {
     "is_irreducible-composite-p": lambda: is_irreducible(4, [1, 1, 1]),
+    "is_irreducible-float-coefficient": lambda: is_irreducible(3, [1.5, 0, 1]),
     "field-modulus-of-wrong-degree": lambda: Field(3, 2, (1, 1)),
     "field-modulus-float-coefficient": lambda: Field(3, 2, (1.0, 0, 1)),
     "field-float-degree": lambda: Field(3, 2.0, (1, 0, 1)),
@@ -58,25 +59,28 @@ BAD_INPUTS = {
     "codespec-float-e": lambda: CodeSpec(2, 1, 2.0, 0),
     "codespec-float-i": lambda: CodeSpec(2, 1, 1, 1.0),
     "enumbudget-float-max_codewords": lambda: EnumBudget(1.5),
+    "codespec-bool-m": lambda: CodeSpec(2, True, 2, 1),
+    "enumbudget-bool-max_codewords": lambda: EnumBudget(max_codewords=True),
     "ring_one-length-0": lambda: ring_one(F2, 0),
     "pair_weight-length-1": lambda: pair_weight(vector(F2, (1,))),
     "pair_distance-length-1": lambda: pair_distance(vector(F2, (1,)), vector(F2, (0,))),
     "poly-add-across-fields": lambda: Poly(F2, (1, 1)) + Poly(F3, (1, 1)),
     "poly-to_ring-length-0": lambda: Poly(F2, (1, 1)).to_ring(0),
     "inject-float-t": lambda: inject_pair_errors(pair_read(vector(F2, (1, 0))), 1.0, 3),
+    "inject-bool-t": lambda: inject_pair_errors(pair_read(vector(F2, (1, 0))), True, 3),
     "inject-seed-none": lambda: inject_pair_errors(
         pair_read(vector(F2, (1, 0))), 1, None
     ),
     "experiment-float-trials": lambda: correctability_experiment(
         CodeSpec(2, 1, 2, 1), 0, 1.5, 3
     ),
+    "experiment-bool-trials": lambda: correctability_experiment(
+        CodeSpec(3, 1, 1, 1), 1, True, 1
+    ),
     "experiment-seed-none": lambda: correctability_experiment(
         CodeSpec(2, 1, 2, 1), 0, 1, None
     ),
     "run_identity-float-n": lambda: verify_run_identity(F2, 2.0),
-    "run_identity-float-samples": lambda: verify_run_identity(
-        F2, 4, samples=1.5, seed=1
-    ),
     "x_minus_one_power-float-i": lambda: x_minus_one_power(F3, 2.0, 9),
     "poly-to_ring-float-length": lambda: Poly(F2, (1, 1)).to_ring(2.0),
     "field-pow-float-exponent": lambda: build_field(3, 2).pow(3, 2.0),

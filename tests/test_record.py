@@ -4,7 +4,7 @@ Every record type prints the exact dataclass form (Field the form it
 printed before it became a record), compares equal only within its own
 class, hashes as its field tuple and refuses mutation;
 a fresh import of the package loads neither dataclasses nor typing,
-nor random, which only the sampled and channel paths import on use.
+nor random, which only the channel imports on use.
 """
 
 import subprocess
@@ -68,8 +68,8 @@ SAMPLES = [
         "IdentityViolation(x=(0, 1), y=(1, 1), d_hamming=1, block_count=1, d_pair=3)",
     ),
     (
-        IdentityReport(2, 2, "exhaustive", 8, 2, (_VIOLATION,)),
-        "IdentityReport(q=2, n=2, mode='exhaustive', pairs_checked=8,"
+        IdentityReport(2, 2, 8, 2, (_VIOLATION,)),
+        "IdentityReport(q=2, n=2, pairs_checked=8,"
         " full_support_pairs=2, violations=(IdentityViolation(x=(0, 1), y=(1, 1),"
         " d_hamming=1, block_count=1, d_pair=3),))",
     ),
