@@ -90,7 +90,7 @@ class _Codebook:
                 space=spec.size,
             )
         p, q = field.p, field.q
-        rotations = digit_vectors(spec)
+        rotations = list(digit_vectors(spec))
         units = [p**d for d in range(field.m)]  # base-p digit b*m + d scales by p^d
         planes = []
         for k in range(spec.n):

@@ -11,6 +11,8 @@ symbol-pair classification against the pair-metric Singleton bound.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from ._record import Record
 from .gf import Field, _check_int, _check_prime_power, build_field
 from .polyring import Poly, RingElement, _mul_x_minus_one_power, x_minus_one_power
@@ -73,16 +75,17 @@ def generator(spec: CodeSpec, field: Field | None = None) -> RingElement:
     return x_minus_one_power(spec.check(field or spec.field()), spec.i, spec.n)
 
 
-def digit_vectors(spec: CodeSpec) -> list[tuple[int, ...]]:
+def digit_vectors(spec: CodeSpec) -> Iterator[tuple[int, ...]]:
     """The rotations x^b * g of g = (x - 1)^i, b below the dimension.
 
     A basis of C_i over F_q and over F_p: encode(f) combines them with
     the coefficients of f.  g is over F_p, so no rotation depends on the
-    modulus that presents F_{p^m}.
+    modulus that presents F_{p^m}.  g is expanded at the call; each
+    rotation is built only when it is read, b ascending.
     """
     n = spec.n
     gen = generator(spec).coeffs
-    return [gen[n - b:] + gen[:n - b] for b in range(spec.dimension)]
+    return (gen[n - b:] + gen[:n - b] for b in range(spec.dimension))
 
 
 def encode(spec: CodeSpec, message: Poly) -> RingElement:

@@ -187,14 +187,14 @@ class Field(Record):
         return _build_tables(self.p, self.modulus)
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element encoding of {self!r}")
         return a
 
     def check_vec(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """coeffs as a tuple if every entry passes check, else check's error."""
         coeffs = tuple(coeffs)
-        if all(map(isinstance, coeffs, repeat(int))) and (
+        if set(map(type, coeffs)) <= {int} and (
             not coeffs or 0 <= min(coeffs) and max(coeffs) < self.q
         ):
             return coeffs

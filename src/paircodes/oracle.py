@@ -2,9 +2,10 @@
 
 The walk visits the monic messages f over F_p, in ascending order of
 the index j whose base-p digits they are, and scans each encode(f), the
-F_p-combination of codes.digit_vectors with the digits of j, for exact
-minima with witnesses.  It stops early only once its best weights meet
-lower bounds proven without the closed forms, and it never reads m:
+F_p-combination of codes.digit_vectors with the digits of j, each built
+when the walk first reads it, for exact minima with witnesses.  It stops
+early only once its best weights meet lower bounds proven without the
+closed forms, and it never reads m:
 
 * the walk finds every minimum of C_i and its first achiever over all
   monic f over F_{p^m}, ascending (any nonzero codeword is a scalar
@@ -131,35 +132,30 @@ def _codeword_stream(spec: CodeSpec, budget: EnumBudget) -> Iterator[tuple[int, 
     Codeword j combines digit_vectors with the base-p digits of j.  From
     j - 1 to j, digits 0 .. v_p(j) each step by +1 mod p, which adds
     steps[v_p(j)], the sum of digit vectors 0 .. v_p(j).  Run b walks the
-    monic messages x^b + (lower terms), j = p^b .. 2 p^b - 1.  Entries
+    monic messages x^b + (lower terms), j = p^b .. 2 p^b - 1, from
+    rotation b, where v_p(j) < b: steps[b] is built after run b.  Entries
     stay below p, where F_{p^m} adds as F_p does.
     """
     p, add_vec = spec.p, build_field(spec.p, 1).add_vec
-    vecs = digit_vectors(spec)
-    steps = list(itertools.accumulate(vecs, add_vec))
-    words = itertools.chain.from_iterable(
-        _run(vec, p**b, 2 * p**b, steps, p, add_vec) for b, vec in enumerate(vecs)
-    )
-    cap = budget.max_codewords
-    yield from itertools.islice(words, cap)
-    if next(words, None) is not None:
-        raise BudgetExhausted(
-            f"budget of {cap} codewords exhausted for {spec}",
-            scanned=cap,
-            space=codeword_class_count(spec, True),
-        )
-
-
-def _run(word, start, stop, steps, p, add_vec) -> Iterator[tuple[int, ...]]:
-    """Codewords start .. stop - 1, given the first of them."""
-    yield word
-    for j in range(start + 1, stop):
-        v = 0
-        while not j % p:
-            j //= p
-            v += 1
-        word = tuple(add_vec(word, steps[v]))
-        yield word
+    cap, scanned, steps = budget.max_codewords, 0, []
+    for b, rotation in enumerate(digit_vectors(spec)):
+        start, word = p**b, rotation
+        for j in range(start, 2 * start):
+            if j != start:
+                v = 0
+                while not j % p:
+                    j //= p
+                    v += 1
+                word = tuple(add_vec(word, steps[v]))
+            if scanned == cap:
+                raise BudgetExhausted(
+                    f"budget of {cap} codewords exhausted for {spec}",
+                    scanned=cap,
+                    space=codeword_class_count(spec, True),
+                )
+            scanned += 1
+            yield word
+        steps.append(add_vec(steps[-1], rotation) if steps else rotation)
 
 
 def enumerate_codewords(

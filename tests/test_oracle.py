@@ -99,6 +99,36 @@ def test_enumeration_budget_signal():
     assert len(seen) == 10
 
 
+@pytest.mark.parametrize(
+    "spec,cap,space",
+    [(CodeSpec(3, 1, 2, 7), 3, 4), (CodeSpec(2, 1, 3, 4), 3, 15), (CodeSpec(2, 1, 3, 4), 7, 15)],
+)
+def test_enumeration_cap_below_and_at_the_space(spec, cap, space):
+    # (2,1,3,4) walks runs of 1, 2, 4 and 8 words: caps 3 and 7 end runs 1 and 2
+    words = [w.coeffs for w in enumerate_codewords(spec, EnumBudget(space))]
+    assert len(words) == space
+    seen = []
+    with pytest.raises(BudgetExhausted) as err:
+        for w in enumerate_codewords(spec, EnumBudget(cap)):
+            seen.append(w.coeffs)
+    assert seen == words[:cap]
+    assert str(err.value) == f"budget of {cap} codewords exhausted for {spec}"
+    assert (err.value.scanned, err.value.space) == (cap, space)
+
+
+def test_first_word_costs_one_rotation():
+    # n = 2048 at i = 0: all rotations and prefix sums would be about 71 MB
+    spec = CodeSpec(2, 1, 11, 0)
+    tracemalloc.start()
+    try:
+        first = next(enumerate_codewords(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert first.coeffs == (1,) + (0,) * (spec.n - 1)
+
+
 def test_min_weight_budget_error_is_explicit():
     with pytest.raises(BudgetExhausted) as err:
         min_pair_weight_bruteforce(CodeSpec(3, 1, 2, 0), EnumBudget(max_codewords=10))

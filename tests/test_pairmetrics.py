@@ -89,6 +89,11 @@ BAD_INPUTS = {
     "zero_ring_element-float-length": lambda: zero_ring_element(F3, 2.0),
     "ring_one-float-length": lambda: ring_one(F3, 2.0),
     "cyclic_shift-float-shift": lambda: cyclic_shift(vector(F3, (1, 0, 0)), 1.5),
+    "vector-bool-coefficient": lambda: vector(F3, (True, 0)),
+    "poly-bool-coefficient": lambda: Poly(F3, (False, 1)),
+    "pairvector-bool-symbol": lambda: PairVector(F3, ((True, 0), (0, 0))),
+    "scale-bool-scalar": lambda: vector(F3, (1, 2)).scale(True),
+    "extension-vector-bool-coefficient": lambda: vector(build_field(3, 2), (0, True)),
 }
 
 
