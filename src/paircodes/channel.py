@@ -8,17 +8,17 @@ d >= 2t + 1, and the experiment below validates exactly that.
 
 The search is bit-sliced: the codebook holds one big int per (position,
 symbol) whose bit j marks codeword j, so a single AND finds every
-codeword agreeing with one received pair.  A held book costs n * q bits
-per codeword, and a book over 64 bits per budgeted codeword is refused.
-Codeword j is encode(f) for f with the base-q digits of j, and the book
-is built from the rotations in codes.digit_vectors without walking the
-codewords: each position's planes grow p-fold per base-p digit b*m + d
-of j, which adds rotation b times p^d (see _add_digit), by p - 1
-shift-ORs per nonzero plane per digit: at most O(p * q) bits of big-int
-work per codeword and position, and none for an empty plane.  The
-generator has F_p coefficients, so the planes do not depend on the
-modulus that presents F_{p^m}: one book per code, shared by every
-modulus.
+codeword agreeing with one received pair.  A held book costs n * q
+planes of one bit per codeword but at least one 64-bit slot each, and a
+book over 64 bits per budgeted codeword is refused.  Codeword j is
+encode(f) for f with the base-q digits of j, and the book is built from
+the rotations in codes.digit_vectors without walking the codewords:
+each position's planes grow p-fold per base-p digit b*m + d of j, which
+adds rotation b times p^d (see _add_digit), by p - 1 shift-ORs per
+nonzero plane per digit: at most O(p * q) bits of big-int work per
+codeword and position, and none for an empty plane.  The generator has
+F_p coefficients, so the planes do not depend on the modulus that
+presents F_{p^m}: one book per code, shared by every modulus.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class _Codebook:
                 f" of {max_codewords}",
                 space=spec.size,
             )
-        bits = spec.size * spec.n * spec.q
+        bits = max(spec.size, 64) * spec.n * spec.q
         if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
             raise BudgetExhausted(
                 f"codebook of {spec.size} codewords needs {_count_text(bits)}"

@@ -7,11 +7,11 @@ _rows reads those attributes, writing a word as c_0,...,c_{n-1}.
 
 Exit codes: 0 success / all-match; 1 mismatch or guarantee violation;
 2 usage or input error; 3 incomplete verification (budget skips) or a
-simulate codebook over --max-enum words or 64 * --max-enum plane bits.
-Input errors are the library's ValueErrors and budget overruns its
-BudgetExhausted: main alone catches them and prints "error: <message>"
-or "incomplete: <message>" on stderr.  tsv and json outputs are
-byte-deterministic for identical arguments.
+simulate codebook over --max-enum words or 64 * --max-enum bits of n * q
+planes, each max(64, words) bits.  Input errors are the library's
+ValueErrors and budget overruns its BudgetExhausted: main alone catches
+them and prints "error: <message>" or "incomplete: <message>" on stderr.
+tsv and json outputs are byte-deterministic for identical arguments.
 
 main(argv) may be called any number of times in one process.  The
 parser is built once, on the first call rather than at import, and

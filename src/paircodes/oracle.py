@@ -126,8 +126,8 @@ def codeword_class_count(spec: CodeSpec, reduce_by_scalars: bool) -> int:
     return spec.size - 1
 
 
-def _codeword_stream(spec: CodeSpec, budget: EnumBudget) -> Iterator[tuple[int, ...]]:
-    """Codewords j of the F_p-subcode as coefficient tuples, j ascending.
+def _codeword_stream(spec: CodeSpec, budget: EnumBudget) -> Iterator[list[int]]:
+    """Codewords j of the F_p-subcode as fresh coefficient lists, j ascending.
 
     Codeword j combines digit_vectors with the base-p digits of j.  From
     j - 1 to j, digits 0 .. v_p(j) each step by +1 mod p, which adds
@@ -139,14 +139,14 @@ def _codeword_stream(spec: CodeSpec, budget: EnumBudget) -> Iterator[tuple[int, 
     p, add_vec = spec.p, build_field(spec.p, 1).add_vec
     cap, scanned, steps = budget.max_codewords, 0, []
     for b, rotation in enumerate(digit_vectors(spec)):
-        start, word = p**b, rotation
+        start, word = p**b, list(rotation)
         for j in range(start, 2 * start):
             if j != start:
                 v = 0
                 while not j % p:
                     j //= p
                     v += 1
-                word = tuple(add_vec(word, steps[v]))
+                word = add_vec(word, steps[v])
             if scanned == cap:
                 raise BudgetExhausted(
                     f"budget of {cap} codewords exhausted for {spec}",
@@ -207,27 +207,23 @@ def _scan_min_weights(
         )
     lb_h = max(known[0], 2 if spec.i else 1, spec.i + 1 if spec.e == 1 else 0)
     lb_p = max(known[1], min(n, lb_h + 1), min(n, 4) if spec.i >= 2 else 0)
-    best_h = n + 1
-    best_p = n + 1
-    wit_h: tuple[int, ...] | None = None
-    wit_p: tuple[int, ...] | None = None
-    scanned = 0
-    for word in _codeword_stream(spec, budget):
-        scanned += 1
+    best_h = best_p = n + 1
+    wit_h: list[int] | None = None
+    wit_p: list[int] | None = None
+    for scanned, word in enumerate(_codeword_stream(spec, budget), 1):
         w_h = n - word.count(0)
-        if w_h >= best_h and w_h >= best_p:
-            continue  # neither best can improve; keeps the stop test off this path
+        if w_h >= best_p:  # w_p >= w_H, so best_p >= best_h: no best can improve
+            continue
         if w_h < best_h:
             best_h = w_h
             wit_h = word
-        if w_h < best_p:
-            w_p = pair_count(word)
-            if w_p < best_p:
-                best_p = w_p
-                wit_p = word
+        w_p = pair_count(word)
+        if w_p < best_p:
+            best_p = w_p
+            wit_p = word
         if best_h <= lb_h and best_p <= lb_p:
             break
-    return _ScanResult(best_h, wit_h, best_p, wit_p, scanned)
+    return _ScanResult(best_h, tuple(wit_h), best_p, tuple(wit_p), scanned)
 
 
 def min_pair_weight_bruteforce(
@@ -261,14 +257,14 @@ def verify_family(
     "mismatch" if any entry disagrees, even beside skips, else
     "incomplete" if any was skipped, else "all-match".
     """
-    family = CodeSpec(p, m, e, 0)  # validates p, m and e before the loop
-    field = family.field()
     budget = budget or EnumBudget()
     entries = []
     # minima certified for a row bound those of every later row, a subcode;
     # skips (space shrinks with i) only come before the first certified row
     known = (0, 0)
-    for row in distance_table(p, e, m):
+    rows = distance_table(p, e, m)  # validates p, m and e before build_field
+    field = build_field(p, m)
+    for row in rows:
         try:
             res = _scan_min_weights(CodeSpec(p, m, e, row.i), budget, known)
         except BudgetExhausted:

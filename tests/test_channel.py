@@ -120,6 +120,18 @@ def test_decode_budget_exhausted():
         decode_min_pair_distance(spec, received, EnumBudget(max_codewords=100))
 
 
+def test_zero_code_book_counts_a_64_bit_slot_per_plane():
+    # the zero code has one codeword, yet its book holds n * q planes:
+    # counted at one bit each, (2,12,1) at i = 2 would pass a budget of
+    # 1000 words with 2^13 planes; at 64 bits each it needs 2^19
+    spec = CodeSpec(2, 12, 1, 2)
+    message = (
+        "codebook of 1 codewords needs 524288 plane bits, over the budget of 64000"
+    )
+    with pytest.raises(BudgetExhausted, match=f"^{message}$"):
+        channel._codebook(spec, spec.field(), 1000)
+
+
 def _reference_decode(reads, received):
     # plain nearest-codeword search; a tie at the minimum is a failure
     dists = [pair_seq_distance(read, received) for _, read in reads]

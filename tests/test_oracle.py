@@ -355,7 +355,7 @@ def _reference_family(p, e, m):
     return rows
 
 
-@pytest.mark.parametrize("p,e,m", FAMILY_GRID + ((2, 2, 3),))
+@pytest.mark.parametrize("p,e,m", FAMILY_GRID + ((2, 2, 3), (7, 1, 1)))
 def test_verify_family_matches_plain_reference(p, e, m):
     report = verify_family(p, e, m)
     got = [
@@ -363,6 +363,25 @@ def test_verify_family_matches_plain_reference(p, e, m):
         for x in report.entries
     ]
     assert got == _reference_family(p, e, m)
+
+
+# words each certify family's rows walk under verify_family's known chain;
+# a weaker stop rule walks more of them, an over-eager one fewer
+CERTIFY_SCANNED = {
+    (2, 1, 1): 2, (2, 2, 1): 4, (2, 3, 1): 18, (2, 4, 1): 236,
+    (3, 1, 1): 3, (3, 2, 1): 138, (5, 1, 1): 5, (2, 2, 2): 4,
+    (3, 1, 2): 3, (7, 1, 1): 7, (5, 1, 2): 5, (2, 3, 3): 18,
+}
+
+
+@pytest.mark.parametrize("p,e,m", sorted(CERTIFY_SCANNED))
+def test_certify_family_walks_pinned_word_counts(p, e, m):
+    known, scanned = (0, 0), 0
+    for i in range(p**e + 1):
+        res = _scan_min_weights(CodeSpec(p, m, e, i), EnumBudget(), known)
+        known = (res.min_hamming, res.min_pair)
+        scanned += res.scanned
+    assert scanned == CERTIFY_SCANNED[p, e, m]
 
 
 @pytest.mark.parametrize("i", [0, 1])
