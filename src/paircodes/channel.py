@@ -8,9 +8,11 @@ d >= 2t + 1, and the experiment below validates exactly that.
 
 The search is bit-sliced: the codebook holds one big int per (position,
 symbol) whose bit j marks codeword j, so a single AND finds every
-codeword agreeing with one received pair.  A held book costs n * q
-planes of one bit per codeword but at least one 64-bit slot each, and a
-book over 64 bits per budgeted codeword is refused.  Codeword j is
+codeword agreeing with one received pair, and carry-save adders count
+those agreement sets per codeword four at a time, exactly.  A held book
+costs n * q planes of one bit per codeword but at least one 64-bit slot
+each, and a book over 64 bits per budgeted codeword is refused from
+the code's parameters alone, before any field is built.  Codeword j is
 encode(f) for f with the base-q digits of j, and the book is built from
 the rotations in codes.digit_vectors without walking the codewords:
 each position's planes grow p-fold per base-p digit b*m + d of j, which
@@ -24,6 +26,7 @@ presents F_{p^m}: one book per code, shared by every modulus.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 
 from .codes import CodeSpec, digit_vectors
 from .gf import Field, _check_int, _digits
@@ -61,6 +64,26 @@ def inject_pair_errors(
     return PairVector(u.field, tuple(pairs)), positions
 
 
+def _check_book_budget(spec: CodeSpec, max_codewords: int) -> None:
+    """Refuse a book over max_codewords words or 64 bits per budgeted word.
+
+    Reads only spec's integers, so a refused book costs no field build.
+    """
+    if spec.size > max_codewords:
+        raise BudgetExhausted(
+            f"codebook of {_count_text(spec.size)} codewords exceeds the budget"
+            f" of {max_codewords}",
+            space=spec.size,
+        )
+    bits = max(spec.size, 64) * spec.n * spec.q
+    if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
+        raise BudgetExhausted(
+            f"codebook of {spec.size} codewords needs {_count_text(bits)}"
+            f" plane bits, over the budget of {64 * max_codewords}",
+            space=spec.size,
+        )
+
+
 class _Codebook:
     """Every codeword of a code, bit-sliced by position and symbol.
 
@@ -76,19 +99,7 @@ class _Codebook:
     __slots__ = ("planes", "spec", "field", "size")
 
     def __init__(self, spec: CodeSpec, field: Field, max_codewords: int):
-        if spec.size > max_codewords:
-            raise BudgetExhausted(
-                f"codebook of {_count_text(spec.size)} codewords exceeds the budget"
-                f" of {max_codewords}",
-                space=spec.size,
-            )
-        bits = max(spec.size, 64) * spec.n * spec.q
-        if bits > 64 * max_codewords:  # 8 bytes of planes per budgeted codeword
-            raise BudgetExhausted(
-                f"codebook of {spec.size} codewords needs {_count_text(bits)}"
-                f" plane bits, over the budget of {64 * max_codewords}",
-                space=spec.size,
-            )
+        _check_book_budget(spec, max_codewords)
         p, q = field.p, field.q
         rotations = list(digit_vectors(spec))
         units = [p**d for d in range(field.m)]  # base-p digit b*m + d scales by p^d
@@ -144,31 +155,46 @@ def decode_min_pair_distance(
     reduction would merge words that decode differently), bit-sliced:
     the codewords agreeing with the read at position k are the bits of
     planes[k][a] & planes[k+1][b] for the received pair (a, b).  These n
-    agreement sets are summed per codeword in a bit-sliced counter, and
-    the codewords with the most agreements are at minimum distance.  A
-    tie between distinct codewords is reported as an ambiguous failure
-    rather than resolved arbitrarily.  There is one book per code, shared
-    by every modulus: it is built under spec.field(), and the decoded
-    word is given the read's field.
+    agreement sets are counted per codeword by carry-save adders (Harley
+    and Seal), four sets a step: two full adders fold them into the ones
+    bit of every count, a third folds their carries into the twos bit,
+    and only the one weight-4 carry per step ripples into the higher
+    bits, so the count is exact on every read.  The codewords with the
+    most agreements are at minimum distance.  A tie between distinct
+    codewords is reported as an ambiguous failure rather than resolved
+    arbitrarily.  There is one book per code, shared by every modulus:
+    it is built under spec.field(), and the decoded word is given the
+    read's field.
     """
     if budget is None:
         budget = EnumBudget()
     field = spec.check(received.field, received.n)
     book = _codebook(spec, spec.field(), budget.max_codewords)
     planes = book.planes
-    counter: list[int] = []  # counter[b] holds bit b of every agreement count
-    for (a, b), here, there in zip(received.pairs, planes, planes[1:] + planes[:1]):
-        carry = here[a] & there[b]
-        for bit, digit in enumerate(counter):  # ripple half-adders
+    pairs = zip(received.pairs, planes, planes[1:] + planes[:1])
+    agree = (here[a] & there[b] for (a, b), here, there in pairs)
+    ones = twos = 0  # bits 0 and 1 of every agreement count
+    high: list[int] = []  # high[b] holds bit b + 2
+    for x1, x2, x3, x4 in zip_longest(agree, agree, agree, agree, fillvalue=0):
+        u = ones ^ x1  # two full adders fold four sets into ones
+        c1 = ones & x1 | u & x2
+        u ^= x2
+        v = u ^ x3
+        c2 = u & x3 | v & x4
+        ones = v ^ x4
+        w = twos ^ c1  # a third folds their weight-2 carries into twos
+        carry = twos & c1 | w & c2
+        twos = w ^ c2
+        for bit, digit in enumerate(high):  # ripple the weight-4 carry
             if not carry:
                 break
-            counter[bit] = digit ^ carry
+            high[bit] = digit ^ carry
             carry &= digit
         else:
             if carry:
-                counter.append(carry)
+                high.append(carry)
     best = (1 << len(book)) - 1
-    for digit in reversed(counter):  # keep the most agreements, top bit first
+    for digit in reversed([ones, twos, *high]):  # most agreements, top bit first
         if best & digit:
             best &= digit
     if best & (best - 1):
@@ -198,6 +224,7 @@ def correctability_experiment(
 
     if budget is None:
         budget = EnumBudget()
+    _check_book_budget(spec, budget.max_codewords)  # before any field is built
     field = spec.field()
     book = _codebook(spec, field, budget.max_codewords)
     successes = 0

@@ -169,6 +169,43 @@ def test_decode_matches_plain_reference():
     assert ties > 0
 
 
+# the counter adds the n agreement sets four at a time: n = 2, 3, 9 and
+# 27 leave a zero-padded last group; every t up to n is tried, so the
+# zero codes (i = n) read t away from their one word and (2,1,3,1) is
+# read well past its guarantee: many reads lie 4 or more away from
+# every codeword
+EDGE_SPECS = [
+    (2, 1, 1, 0), (2, 1, 1, 1), (2, 1, 1, 2), (3, 1, 1, 1), (3, 1, 1, 3),
+    (2, 1, 3, 1), (2, 1, 3, 8), (2, 2, 2, 4),
+    (3, 1, 2, 1), (3, 1, 2, 3), (3, 1, 2, 9),
+    (3, 1, 3, 21), (3, 1, 3, 23), (3, 1, 3, 27),
+]
+
+
+def test_decode_counter_edges_match_plain_reference():
+    rng = random.Random(1607)
+    ties = far = 0
+    for p, m, e, i in EDGE_SPECS:
+        spec = CodeSpec(p, m, e, i)
+        reads = [(w.coeffs, pair_read(w)) for w in every_codeword(spec)]
+        q = spec.q
+        received = [
+            inject_pair_errors(reads[rng.randrange(len(reads))][1], t, rng.randrange(2**63))[0]
+            for t in range(spec.n + 1) for _ in range(3)
+        ] + [  # uniformly random reads, most of them far from every word
+            PairVector(spec.field(), tuple(divmod(rng.randrange(q * q), q) for _ in range(spec.n)))
+            for _ in range(8)
+        ]
+        for read in received:
+            expected = _reference_decode(reads, read)
+            got = decode_min_pair_distance(spec, read)
+            assert (None if got is None else got.coeffs) == expected, (spec, read)
+            ties += expected is None
+            far += min(pair_seq_distance(r, read) for _, r in reads) >= 4
+    assert ties > 0
+    assert far > 0
+
+
 def test_cached_book_is_small():
     # the (2,1,5,18) book holds 16,384 words of length 32
     spec = CodeSpec(2, 1, 5, 18)
@@ -257,6 +294,20 @@ def test_experiment_refuses_a_bad_error_count_before_building_the_book(monkeypat
         message = rf"error count must be an integer in \[0, 8\], got {t}$"
         with pytest.raises(ValueError, match=message):
             correctability_experiment(CodeSpec(2, 1, 3, 2), t, 5, 1)
+
+
+def test_experiment_refuses_an_over_budget_book_before_building_a_field(monkeypatch):
+    def no_field(self):
+        raise AssertionError("a field was built for a refused book")
+
+    monkeypatch.setattr(CodeSpec, "field", no_field)
+    # the zero code at m = 28: one word, but 2^29 planes of 64 bits
+    message = "codebook of 1 codewords needs 34359738368 plane bits, over the budget of 640000000"
+    with pytest.raises(BudgetExhausted, match=f"^{message}$"):
+        correctability_experiment(CodeSpec(2, 28, 1, 2), 0, 1, 1)
+    message = "codebook of 32 codewords exceeds the budget of 31"
+    with pytest.raises(BudgetExhausted, match=f"^{message}$"):
+        correctability_experiment(CodeSpec(2, 1, 3, 3), 0, 1, 1, EnumBudget(max_codewords=31))
 
 
 def test_experiment_deterministic():

@@ -145,6 +145,26 @@ def test_simulate_bit_budget_exit_three():
     assert peak < 100_000  # refused before any plane is built
 
 
+def test_simulate_large_field_refusal_builds_no_field(monkeypatch, capsys):
+    # the zero code at m = 28 is refused from its parameters alone: GF(2^28)
+    # would take about a second to build and is never read
+    def no_field(self):
+        raise AssertionError("a field was built for a refused book")
+
+    monkeypatch.setattr(CodeSpec, "field", no_field)
+    argv = [
+        "simulate", "--p", "2", "--e", "1", "--m", "28", "--i", "2", "--t", "0",
+        "--trials", "1", "--seed", "1",
+    ]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "incomplete: codebook of 1 codewords needs 34359738368 plane bits,"
+        " over the budget of 640000000\n"
+    )
+
+
 def test_verify_count_too_long_to_print_is_incomplete():
     # (2,14,1) at i = 0 scans 2^16384 - 1 words, a count of 4,933 digits,
     # over the 4,300 that str() of an int allows by default
